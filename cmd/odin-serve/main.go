@@ -10,7 +10,9 @@
 //
 // Each shard runs under a health watchdog with a recovery ladder: a wedged
 // engine is restarted in place warm from its snapshot, or — with -replicas
-// N — replaced by a hot-spare replica in one atomic swap. The watchdog
+// N — replaced by a hot spare booted warm and read-only ahead of time. Both
+// replay the shard's probe ledger onto the new engine before one atomic
+// swap; the spare saves only the boot build. The watchdog
 // thresholds are tunable (-watchdog-interval, -gen-deadline,
 // -stuck-queue-age, -restart-attempts) and the -chaos-* flags arm a
 // one-shot injected fault after boot so CI can rehearse a failover against
@@ -69,7 +71,7 @@ func main() {
 	reqTimeout := flag.Duration("request-timeout", 0, "end-to-end bound for one probe operation (0 = 30s)")
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "how long shutdown waits for shards to drain")
 	lcCfg := lifecycleCfg{}
-	flag.IntVar(&lcCfg.replicas, "replicas", 0, "hot-spare replicas per shard (promoted on failover)")
+	flag.IntVar(&lcCfg.replicas, "replicas", 0, "hot spares per shard: booted warm and read-only, promoted on failover by replaying the probe ledger onto them")
 	flag.DurationVar(&lcCfg.interval, "watchdog-interval", 0, "health watchdog sample interval (0 = default 500ms)")
 	flag.DurationVar(&lcCfg.genDeadline, "gen-deadline", 0, "a generation running longer than this wedges the shard (0 = default 60s)")
 	flag.DurationVar(&lcCfg.stuckQueueAge, "stuck-queue-age", 0, "a ticket queued longer than this wedges the shard (0 = default 30s)")
@@ -148,9 +150,9 @@ func run(shards shardFlags, addr, data string, workers, queueDepth int, tenantRP
 	}
 	fmt.Fprintf(os.Stderr, "odin-serve: listening on %s\n", bound)
 	if inj != nil {
-		// Arm after the delay, not at boot: the boot builds and replica
-		// seeding must land on a healthy shard so the rehearsal wedges the
-		// serving slot, mirroring a mid-storm failure.
+		// Arm after the delay, not at boot: the boot builds must land on a
+		// healthy shard so the rehearsal wedges the serving slot, mirroring
+		// a mid-storm failure.
 		site, stall, delay := lcCfg.chaosSite, lcCfg.chaosStall, lcCfg.chaosDelay
 		time.AfterFunc(delay, func() {
 			inj.Arm(faultinject.Rule{Site: site, Kind: faultinject.KindStall, Rate: 1, Times: 1})

@@ -18,11 +18,11 @@ import (
 // self-healing lifecycle does about it. Two arms, each a fresh control
 // plane under healthy tenant load:
 //
-//   - promotion: the shard runs with a hot-spare replica and no restart
-//     budget; a one-shot 2s stall injected at supervisor:commit wedges the
-//     primary past its generation deadline, and the watchdog must promote
-//     the spare.
-//   - restart: the same wedge against a replica-less shard with a restart
+//   - promotion: the shard runs with a hot spare and no restart budget; a
+//     one-shot 2s stall injected at supervisor:commit wedges the primary
+//     past its generation deadline, and the watchdog must promote the
+//     spare (replaying the probe ledger onto it).
+//   - restart: the same wedge against a spare-less shard with a restart
 //     budget; the watchdog must restart the engine in place, warm from the
 //     persist snapshot.
 //
@@ -184,8 +184,8 @@ func runChaosArm(program string, healthy, perTenant int, withReplica bool) (*Ser
 		return nil, fmt.Errorf("shard s0 has no instrumentable functions")
 	}
 	if withReplica {
-		// Kill the primary only once the spare is converged and standing
-		// by, as a real deployment's readiness check would.
+		// Kill the primary only once the spare has booted and stands by,
+		// as a real deployment's readiness check would.
 		if err := waitChaos(20*time.Second, func() bool { return srv.Fleet().Shards[0].Replica }); err != nil {
 			return nil, fmt.Errorf("hot spare never became ready")
 		}

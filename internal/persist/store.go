@@ -418,11 +418,15 @@ func (s *Store) evict(key uint64, path string) {
 
 // dropIndexed forgets a key whose file vanished underneath the index (an
 // external cleanup); the journal records the deletion so the next Open
-// agrees.
+// agrees. A Put racing the caller's miss publishes the file before it
+// indexes the key, so a key whose file exists again is kept.
 func (s *Store) dropIndexed(key uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.index[key]; !ok {
+		return
+	}
+	if _, err := os.Stat(s.entryPath(key)); err == nil {
 		return
 	}
 	delete(s.index, key)

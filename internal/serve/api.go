@@ -162,8 +162,8 @@ func (s *Server) shardOf(w http.ResponseWriter, r *http.Request) *shard {
 
 // handleProbeAdd is POST /v1/shards/{shard}/probes: admit, register the
 // probe, wait out its activation generation, and attribute the outcome to
-// the tenant's failure breaker. The committed op is journaled and forwarded
-// to the hot spare. A request that lands in a failover window parks on the
+// the tenant's failure breaker. The committed op is journaled and recorded
+// in the ledger. A request that lands in a failover window parks on the
 // shard gate and is re-admitted against the new slot — delayed, not
 // dropped.
 func (s *Server) handleProbeAdd(w http.ResponseWriter, r *http.Request) {
@@ -192,6 +192,7 @@ func (s *Server) handleProbeAdd(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
 	id := sh.nextProbeID()
+	defer sh.lockProbe(id)()
 	for {
 		slot, err := sh.acquire(ctx)
 		if err != nil {
@@ -273,6 +274,7 @@ func (s *Server) handleProbeAction(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
+	defer sh.lockProbe(id)()
 	for {
 		slot, err := sh.acquire(ctx)
 		if err != nil {
@@ -280,19 +282,25 @@ func (s *Server) handleProbeAction(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		// Re-resolve the engine ID each attempt: a failover rewrites it.
-		rec, ok := sh.lookupProbe(id)
-		if !ok {
-			writeError(w, http.StatusNotFound, "not_found",
-				fmt.Sprintf("no probe %d on shard %s", id, sh.name), 0)
-			return
-		}
+		rec, _ := sh.lookupProbe(id)
 		var tk *core.Ticket
-		switch action {
-		case "enable":
+		switch {
+		case rec.gen != slot.gen && action == "enable":
+			// Replay leaves inactive probes off a new slot; the first
+			// enable after a failover registers the probe afresh.
+			var engID int
+			if engID, tk, err = slot.sup.AddProbeCtx(ctx, buildProbe(rec.Spec, sh.site.Add(1))); err == nil {
+				sh.bind(slot, id, engID)
+			}
+		case rec.gen != slot.gen:
+			// Nothing of the probe lives on this slot to remove or
+			// rebuild; a barrier still answers with the slot's generation.
+			tk, err = slot.sup.SyncCtx(ctx)
+		case action == "enable":
 			tk, err = slot.sup.EnableProbeCtx(ctx, rec.EngID)
-		case "remove":
+		case action == "remove":
 			tk, err = slot.sup.RemoveProbeCtx(ctx, rec.EngID)
-		case "change":
+		default:
 			tk, err = slot.sup.MarkChangedCtx(ctx, rec.EngID)
 		}
 		if err != nil {

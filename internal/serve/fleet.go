@@ -39,7 +39,8 @@ type ShardStatus struct {
 	// ReadOnly marks a slot serving from a read-only persist tier (a
 	// promoted hot spare, or a shard that lost the writer-lock race).
 	ReadOnly bool `json:"read_only,omitempty"`
-	// Replica reports whether a hot spare is currently standing by.
+	// Replica reports whether a hot spare has finished its boot build and
+	// stands by for promotion (which replays the probe ledger onto it).
 	Replica bool `json:"replica,omitempty"`
 	// Restarts and Promotions count recovery-ladder actions over the
 	// shard's lifetime; Failovers is the bounded recent-event history.

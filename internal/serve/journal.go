@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -11,10 +12,11 @@ import (
 // The tenant-probe journal is the shard's durable record of committed probe
 // operations: an append-only persist.Log of JSON-encoded journalOp records,
 // one per committed add/enable/remove/change. Replaying it reconstructs the
-// shard's probe state on a fresh engine — the mechanism behind crash
-// restarts (probes survive a process bounce), engine restarts in place, and
-// hot-spare promotion. Engine probe IDs are process-local, so the journal is
-// keyed by serve-level probe IDs, which are stable across engine instances.
+// shard's probe state on a fresh engine after a process bounce; restarts in
+// place and hot-spare promotions replay the in-memory ledger, which holds
+// the same reduced states. Engine probe IDs are process-local, so the
+// journal is keyed by serve-level probe IDs, which are stable across engine
+// instances.
 
 // Journal op names.
 const (
@@ -112,20 +114,18 @@ type probeState struct {
 	Active bool
 }
 
-// reduceJournal folds an op sequence into per-probe final states, in first-
-// add order — what a replay actually applies to a fresh engine. Ops against
-// never-added IDs (a torn-away add) are dropped.
+// reduceJournal folds an op sequence into per-probe final states, in
+// ascending serve-ID order — what a replay actually applies to a fresh
+// engine, and the order ledgerStates yields, so boot, restart and promotion
+// replays all register probes alike. Ops against never-added IDs (a
+// torn-away add) are dropped.
 func reduceJournal(ops []journalOp) []probeState {
 	byID := map[int64]*probeState{}
-	var order []int64
 	for _, op := range ops {
 		switch op.Op {
 		case jopAdd:
 			if op.Spec == nil {
 				continue
-			}
-			if _, dup := byID[op.ID]; !dup {
-				order = append(order, op.ID)
 			}
 			byID[op.ID] = &probeState{ID: op.ID, Tenant: op.Tenant, Spec: *op.Spec, Active: true}
 		case jopEnable:
@@ -140,9 +140,15 @@ func reduceJournal(ops []journalOp) []probeState {
 			// Re-instrumentation has no lasting state beyond the rebuild.
 		}
 	}
-	out := make([]probeState, 0, len(order))
-	for _, id := range order {
-		out = append(out, *byID[id])
+	out := make([]probeState, 0, len(byID))
+	for _, st := range byID {
+		out = append(out, *st)
 	}
+	sortStates(out)
 	return out
+}
+
+// sortStates orders replay states by ascending serve ID.
+func sortStates(states []probeState) {
+	sort.Slice(states, func(i, j int) bool { return states[i].ID < states[j].ID })
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -12,12 +13,16 @@ import (
 // watchdog samples Supervisor.Health on an interval and classifies the
 // shard; when it turns wedged the recovery ladder runs:
 //
-//  1. restart in place — drain, close the engine, boot a fresh one warm
-//     from the persist snapshot + object cache, replay the tenant-probe
-//     journal; retried with exponential backoff up to RestartAttempts;
-//  2. hot-spare promotion — atomically swap in the standby replica that has
-//     been converging through the journal stream (zero rebuild work);
+//  1. restart in place — boot a fresh engine warm from the persist
+//     snapshot + object cache; retried with exponential backoff up to
+//     RestartAttempts;
+//  2. hot-spare promotion — take the standby engine that was booted warm
+//     and read-only ahead of time;
 //  3. dead — fail fast with 503 + Retry-After until an operator intervenes.
+//
+// Both recovery rungs are one primitive, failover: drain and close the old
+// slot, replay the probe ledger onto the replacement, swap. They differ
+// only in where the replacement comes from.
 //
 // Requests arriving during a swap park on the shard gate and re-admit
 // against the new slot; they are delayed by the failover window, never
@@ -30,7 +35,7 @@ const (
 	// ShardHealthy: serving, breaker closed or only transiently open.
 	ShardHealthy ShardState = iota
 	// ShardDegraded: serving but impaired — breaker open past the grace
-	// window, or the hot spare is missing/lagging.
+	// window.
 	ShardDegraded
 	// ShardWedged: not making progress (stuck queue, overrun generation,
 	// loop panic, breaker pinned open); recovery ladder is about to run.
@@ -149,7 +154,6 @@ const (
 	MetricJournalAppends   = "odin_serve_journal_appends_total"
 	MetricJournalFallbacks = "odin_serve_journal_fallbacks_total"
 	MetricReplicaFailures  = "odin_serve_replica_failures_total"
-	MetricReplicaForwarded = "odin_serve_replica_forwarded_total"
 )
 
 // shardMetrics holds the lifecycle metric handles on the shard registry.
@@ -163,19 +167,17 @@ type shardMetrics struct {
 	journalAppends   *telemetry.Counter
 	journalFallbacks *telemetry.Counter
 	replicaFailures  *telemetry.Counter
-	replicaForwarded *telemetry.Counter
 }
 
 func newShardMetrics(reg *telemetry.Registry) *shardMetrics {
 	reg.Describe(MetricShardState, "Watchdog classification of the shard (0 healthy .. 4 dead).")
 	reg.Describe(MetricRestarts, "Engine restarts in place performed by the recovery ladder.")
-	reg.Describe(MetricPromotions, "Hot-spare replica promotions performed by the recovery ladder.")
+	reg.Describe(MetricPromotions, "Hot-spare promotions performed by the recovery ladder.")
 	reg.Describe(MetricFailoverSeconds, "Unavailability window of each failover swap.")
 	reg.Describe(MetricParked, "Requests parked on the shard gate during a failover swap.")
 	reg.Describe(MetricJournalAppends, "Probe operations appended to the tenant-probe journal.")
 	reg.Describe(MetricJournalFallbacks, "Journal opens or appends abandoned after persistent failure.")
-	reg.Describe(MetricReplicaFailures, "Hot-spare boot or rebuild failures.")
-	reg.Describe(MetricReplicaForwarded, "Probe operations forwarded to the hot spare.")
+	reg.Describe(MetricReplicaFailures, "Hot-spare boot failures and failed promotions.")
 	return &shardMetrics{
 		restarts:         reg.Counter(MetricRestarts),
 		promotions:       reg.Counter(MetricPromotions),
@@ -184,7 +186,6 @@ func newShardMetrics(reg *telemetry.Registry) *shardMetrics {
 		journalAppends:   reg.Counter(MetricJournalAppends),
 		journalFallbacks: reg.Counter(MetricJournalFallbacks),
 		replicaFailures:  reg.Counter(MetricReplicaFailures),
-		replicaForwarded: reg.Counter(MetricReplicaForwarded),
 	}
 }
 
@@ -329,6 +330,8 @@ func (lc *lifecycle) runLadder(cause string) {
 		lc.mu.Unlock()
 	}()
 
+	sh := lc.sh
+	restart := func(ctx context.Context) (*engineSlot, error) { return sh.bootEngine(ctx, false) }
 	backoff := lc.opts.RestartBackoff
 	for attempt := 0; attempt < lc.opts.RestartAttempts; attempt++ {
 		if attempt > 0 {
@@ -341,26 +344,47 @@ func (lc *lifecycle) runLadder(cause string) {
 				backoff = lc.opts.RestartMaxBackoff
 			}
 		}
-		if err := lc.restartInPlace(cause); err == nil {
+		if err := lc.failover(kindRestart, cause, restart); err == nil {
 			lc.mu.Lock()
 			lc.restartsUsed = 0
 			lc.mu.Unlock()
 			return
 		}
 	}
-	if err := lc.promote(cause); err == nil {
-		return
+	if sh.spec.Replicas > 0 {
+		if err := lc.failover(kindPromotion, cause, sh.takeSpare); err == nil {
+			// Boot the replacement spare off the critical path. The promoted
+			// slot serves read-only from the old primary's persist tier, and
+			// spares stay read-only too: nothing contends for the writer
+			// lock after a promotion.
+			go sh.bootSpare()
+			return
+		}
+		sh.metrics.replicaFailures.Inc()
 	}
-	lc.sh.markDead(fmt.Errorf("%s; restarts and promotion failed", cause))
+	sh.markDead(fmt.Errorf("%s; restarts and promotion failed", cause))
 	lc.mu.Lock()
 	lc.state = ShardDead
 	lc.mu.Unlock()
 }
 
-// restartInPlace drains the wedged slot (bounded), tears it down, and boots
-// a replacement engine warm from the persist snapshot + cache, replaying
-// the probe ledger so every registered probe survives.
-func (lc *lifecycle) restartInPlace(cause string) error {
+// Failover kinds, as recorded in FailoverEvent.Kind.
+const (
+	kindRestart   = "restart"
+	kindPromotion = "promotion"
+)
+
+// failover is the one recovery primitive behind both rungs of the ladder.
+// It closes the admission gate, drains the old slot (bounded) and closes
+// it, takes a replacement slot from next, replays the probe ledger onto it,
+// and swaps it in. A restart's next boots a fresh engine warm from the
+// persist snapshot + cache; a promotion's next hands over the pre-booted
+// hot spare, which saves only the boot build. Replay registers the active
+// probes only, so its cost follows the active set, not the shard's age.
+// An op that commits on the old slot during the window is converged onto
+// the new slot by its own request before that request answers
+// (shard.committed).
+func (lc *lifecycle) failover(kind, cause string, next func(context.Context) (*engineSlot, error)) error {
 	sh := lc.sh
 	start := time.Now()
 	sh.beginSwap()
@@ -371,98 +395,46 @@ func (lc *lifecycle) restartInPlace(cause string) error {
 		}
 	}()
 
-	old := sh.current()
-	if old != nil {
+	if old := sh.current(); old != nil {
 		drainCtx, cancel := ctxTimeout(lc.opts.DrainTimeout)
 		// Best-effort drain: already-admitted work gets a chance to commit
-		// (and feed the journal) before teardown. A wedged loop won't
-		// drain; the timeout moves on.
+		// (and feed the journal and ledger) before teardown. A wedged loop
+		// won't drain; the timeout moves on.
 		old.sup.Drain(drainCtx)
 		cancel()
 		// Engine.Close is safe against an in-flight rebuild; it saves the
-		// snapshot and releases the persist writer lock so the replacement
-		// can take it.
+		// snapshot and releases the persist writer lock so a restarted
+		// engine can take it.
 		old.eng.Close()
 	}
 
-	bootCtx, cancel := ctxTimeout(lc.opts.BootTimeout)
+	ctx, cancel := ctxTimeout(lc.opts.BootTimeout)
 	defer cancel()
-	slot, err := sh.bootEngine(bootCtx, false)
+	slot, err := next(ctx)
 	if err != nil {
 		return err
 	}
-	engIDs, err := replayInto(bootCtx, slot, sh.ledgerStates(), &sh.site)
+	engIDs, err := replayInto(ctx, slot, sh.ledgerStates(), &sh.site)
 	if err != nil {
-		slot.sup.Close()
-		slot.eng.Close()
+		slot.close()
 		return err
 	}
 	sh.endSwap(slot, engIDs)
 	ok = true
 
 	d := time.Since(start)
-	sh.metrics.restarts.Inc()
+	if kind == kindPromotion {
+		sh.metrics.promotions.Inc()
+	} else {
+		sh.metrics.restarts.Inc()
+	}
 	sh.metrics.failoverSeconds.Observe(d)
-	lc.recordEvent(FailoverEvent{Kind: "restart", DurationMS: float64(d) / float64(time.Millisecond), At: time.Now().Unix(), Cause: cause})
+	lc.recordEvent(FailoverEvent{Kind: kind, DurationMS: float64(d) / float64(time.Millisecond), At: time.Now().Unix(), Cause: cause})
 	return nil
 }
 
-// promote swaps the hot-spare replica in as the serving slot. The replica
-// has been converging through the journal stream, so the swap is a drain +
-// barrier, not a rebuild. Ordering matters: the spare is detached only
-// after the swap gate closes, so every committed op either reached the
-// spare's intake, or landed in pendingOps for endSwap to replay onto the
-// promoted slot — never neither.
-func (lc *lifecycle) promote(cause string) error {
-	sh := lc.sh
-	start := time.Now()
-	sh.beginSwap()
-	ok := false
-	defer func() {
-		if !ok {
-			sh.endSwap(nil, nil)
-		}
-	}()
-
-	sh.mu.Lock()
-	rep := sh.replica
-	sh.replica = nil
-	sh.mu.Unlock()
-	if rep == nil {
-		return fmt.Errorf("serve: shard %s: no hot spare", sh.name)
-	}
-
-	old := sh.current()
-	if old != nil {
-		drainCtx, cancel := ctxTimeout(lc.opts.DrainTimeout)
-		old.sup.Drain(drainCtx)
-		cancel()
-		old.eng.Close()
-	}
-
-	promoteCtx, cancel := ctxTimeout(lc.opts.BootTimeout)
-	defer cancel()
-	slot, engIDs, err := rep.promote(promoteCtx)
-	if err != nil {
-		sh.metrics.replicaFailures.Inc()
-		return err
-	}
-	sh.endSwap(slot, engIDs)
-	ok = true
-
-	d := time.Since(start)
-	sh.metrics.promotions.Inc()
-	sh.metrics.failoverSeconds.Observe(d)
-	lc.recordEvent(FailoverEvent{Kind: "promotion", DurationMS: float64(d) / float64(time.Millisecond), At: time.Now().Unix(), Cause: cause})
-
-	// Boot the replacement spare off the critical path; it registers
-	// itself. The promoted slot serves read-only from the old primary's
-	// persist tier, and spares stay read-only too — nothing contends for
-	// the writer lock after a promotion.
-	go func() {
-		if _, err := bootReplica(sh); err != nil {
-			sh.metrics.replicaFailures.Inc()
-		}
-	}()
-	return nil
+// ctxTimeout is context.WithTimeout from Background, for recovery paths
+// that outlive any request.
+func ctxTimeout(d time.Duration) (context.Context, context.CancelFunc) {
+	return context.WithTimeout(context.Background(), d)
 }

@@ -227,7 +227,7 @@ func TestPromotionZeroDowntime(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AddProbe: %v", err)
 	}
-	// Wait for the spare to finish seeding before the kill, as a real
+	// Wait for the spare to finish its boot build before the kill, as a real
 	// deployment would (the fleet view reports spare readiness).
 	waitFor(t, 30*time.Second, "hot spare ready", func() bool {
 		return srv.Fleet().Shards[0].Replica

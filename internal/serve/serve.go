@@ -166,7 +166,7 @@ func (s *Server) Fleet() FleetSnapshot {
 			}
 		}
 		sh.mu.Lock()
-		st.Replica = sh.replica != nil
+		st.Replica = sh.spare != nil
 		sh.mu.Unlock()
 		st.Restarts = sh.metrics.restarts.Value()
 		st.Promotions = sh.metrics.promotions.Value()

@@ -50,10 +50,11 @@ type ShardSpec struct {
 	// QueueDepth bounds the shard supervisor's admission queue (0 =
 	// supervisor default).
 	QueueDepth int
-	// Replicas is the number of hot-spare standby engines kept booted
-	// read-only from the same persist cache and converged through the
-	// tenant-probe journal stream. Only 0 and 1 are meaningful today;
-	// larger values clamp to 1.
+	// Replicas is the number of hot-spare standby engines kept booted warm
+	// and read-only from the shard's persist cache. A spare holds no
+	// probes: promotion replays the probe ledger onto it, exactly as a
+	// restart does onto a fresh boot, so a spare saves the boot build. Only
+	// 0 and 1 are meaningful today; larger values clamp to 1.
 	Replicas int
 	// FaultHook threads a fault-injection hook into the writer engine
 	// instances this shard boots (the serving primary and its restarts) —
@@ -77,7 +78,7 @@ type engineSlot struct {
 	// it.
 	warmHits uint64
 	// readOnly marks a slot whose persist tier is read-only: a promoted
-	// replica keeps serving from the primary's cache without ever taking
+	// spare keeps serving from the primary's cache without ever taking
 	// the writer lock. Commits stop being persisted until the next process
 	// restart; correctness is unaffected.
 	readOnly bool
@@ -85,8 +86,8 @@ type engineSlot struct {
 	booted time.Time
 	// gen is the slot's installation generation (assigned when the slot
 	// becomes the serving slot). Probe records carry the generation of the
-	// slot they were registered on, so late commits that raced a swap can
-	// tell whether the current slot already knows the probe.
+	// slot they are registered on, so a request can tell whether the
+	// current slot knows the probe at all.
 	gen int64
 }
 
@@ -98,7 +99,7 @@ type shard struct {
 	program string
 	spec    ShardSpec
 	// module is the pristine hosted module, retained (never adopted by an
-	// engine) so restarts and replicas can boot new engines from it.
+	// engine) so restarts and spares can boot new engines from it.
 	module *ir.Module
 	// reg is the shard's telemetry registry, shared by every engine
 	// instance: handles are reused and gauge functions rebind on restart,
@@ -116,7 +117,7 @@ type shard struct {
 	journal *probeJournal
 
 	// mu guards the slot machinery (slot, swapping, gate, deadErr), the
-	// probe ledger, and the replica pointer.
+	// probe ledger, the per-probe op locks, and the hot spare.
 	mu       sync.Mutex
 	slot     *engineSlot
 	slotGen  int64
@@ -124,19 +125,23 @@ type shard struct {
 	gate     chan struct{}
 	deadErr  error
 	probes   map[int64]*probeRec
-	replica  *replica
-	// pendingOps collects ops that commit while a swap is in flight; the
-	// swap's endSwap replays them onto the incoming slot (and forwards
-	// them to the hot spare), so no committed op is lost to a failover.
-	pendingOps []journalOp
+	opLocks  map[int64]*sync.Mutex
+	// spare is the booted, probe-less hot spare promotion takes (nil when
+	// Replicas is 0 or the spare is still booting). closed stops a spare
+	// that finishes booting after shutdown from being stood by.
+	spare  *engineSlot
+	closed bool
 
 	lc      *lifecycle
 	metrics *shardMetrics
 }
 
 // probeRec is the control plane's per-probe bookkeeping, keyed by the
-// serve-level probe ID. EngID is the probe's ID on the *current* engine
-// slot; replays and promotions rewrite it.
+// serve-level probe ID. Records are never deleted: a removed probe stays
+// re-enableable by its serve ID. EngID is the probe's ID on the slot of
+// generation gen. Replay registers only active probes on a new slot, so an
+// inactive probe's gen usually trails the serving slot's; its next enable
+// registers it afresh.
 type probeRec struct {
 	Tenant string
 	Spec   ProbeSpec
@@ -194,45 +199,74 @@ func (sh *shard) bootEngine(ctx context.Context, readOnly bool) (*engineSlot, er
 	return slot, nil
 }
 
-// replayInto reapplies reduced journal states to a fresh slot, returning
-// the serve-ID → engine-ID mapping. Activation goes through the slot's
-// supervisor (coalesced into one or two generations); probes whose final
-// state is inactive are registered and then removed so later enables can
-// find them. Individual failures (a poison probe re-quarantining itself)
-// are tolerated — the probe stays registered, just not active.
-func replayInto(ctx context.Context, slot *engineSlot, states []probeState, site *atomic.Int64) (map[int64]int, error) {
-	engIDs := make(map[int64]int, len(states))
-	type pending struct {
-		id int64
-		tk *core.Ticket
+// close tears the slot's supervisor and engine down without draining.
+func (slot *engineSlot) close() {
+	slot.sup.Close()
+	slot.eng.Close()
+}
+
+// bootSpare boots a read-only hot spare and stands it by as sh.spare. The
+// spare holds no probes and runs nothing beyond its idle supervisor;
+// promotion replays the ledger onto it. A failed boot is counted: the shard
+// keeps serving, and its ladder skips from restarts to dead.
+func (sh *shard) bootSpare() {
+	ctx, cancel := ctxTimeout(sh.spec.Watchdog.BootTimeout)
+	defer cancel()
+	slot, err := sh.bootEngine(ctx, true)
+	if err != nil {
+		sh.metrics.replicaFailures.Inc()
+		return
 	}
-	var adds, removes []pending
+	sh.mu.Lock()
+	if sh.deadErr == nil && !sh.closed && sh.spare == nil {
+		sh.spare, slot = slot, nil
+	}
+	sh.mu.Unlock()
+	if slot != nil {
+		slot.close()
+	}
+}
+
+// takeSpare detaches the hot spare for promotion (failover's next).
+func (sh *shard) takeSpare(context.Context) (*engineSlot, error) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	slot := sh.spare
+	sh.spare = nil
+	if slot == nil {
+		return nil, fmt.Errorf("serve: shard %s: no hot spare", sh.name)
+	}
+	return slot, nil
+}
+
+// replayInto registers and activates the active probes among reduced
+// journal states on a fresh slot, returning the serve-ID → engine-ID
+// mapping. Inactive probes are skipped: their first enable registers them
+// (see handleProbeAction), so replay costs what the active set costs, not
+// the shard's whole probe history. States arrive in ascending serve-ID
+// order, so engine IDs (and with them the order Schedule splices probes
+// that share a function) come out the same after every replay. Activation
+// goes through the slot's supervisor, coalesced into as few generations as
+// the queue allows. Individual failures (a poison probe re-quarantining
+// itself) are tolerated — the probe stays registered, just not active.
+func replayInto(ctx context.Context, slot *engineSlot, states []probeState, site *atomic.Int64) (map[int64]int, error) {
+	engIDs := map[int64]int{}
+	var ids []int64
+	var tks []*core.Ticket
 	for _, st := range states {
+		if !st.Active {
+			continue
+		}
 		engID, tk, err := slot.sup.AddProbeCtx(ctx, buildProbe(st.Spec, site.Add(1)))
 		if err != nil {
 			return nil, fmt.Errorf("replay add probe %d: %w", st.ID, err)
 		}
 		engIDs[st.ID] = engID
-		adds = append(adds, pending{st.ID, tk})
+		ids, tks = append(ids, st.ID), append(tks, tk)
 	}
-	for _, p := range adds {
-		if _, err := p.tk.Wait(ctx); err != nil {
-			return nil, fmt.Errorf("replay probe %d: %w", p.id, err)
-		}
-	}
-	for _, st := range states {
-		if st.Active {
-			continue
-		}
-		tk, err := slot.sup.RemoveProbeCtx(ctx, engIDs[st.ID])
-		if err != nil {
-			continue // quarantined or racing; registration is what matters
-		}
-		removes = append(removes, pending{st.ID, tk})
-	}
-	for _, p := range removes {
-		if _, err := p.tk.Wait(ctx); err != nil {
-			return nil, fmt.Errorf("replay probe %d removal: %w", p.id, err)
+	for i, tk := range tks {
+		if _, err := tk.Wait(ctx); err != nil {
+			return nil, fmt.Errorf("replay probe %d: %w", ids[i], err)
 		}
 	}
 	return engIDs, nil
@@ -263,6 +297,7 @@ func newShard(spec ShardSpec) (*shard, error) {
 		module:  m,
 		reg:     telemetry.NewRegistry(),
 		probes:  map[int64]*probeRec{},
+		opLocks: map[int64]*sync.Mutex{},
 	}
 	sh.metrics = newShardMetrics(sh.reg)
 	for _, f := range m.Funcs {
@@ -294,13 +329,16 @@ func newShard(spec ShardSpec) (*shard, error) {
 	if states := reduceJournal(replayOps); len(states) > 0 {
 		engIDs, rerr := replayInto(ctx, slot, states, &sh.site)
 		if rerr != nil {
-			slot.sup.Close()
-			slot.eng.Close()
+			slot.close()
 			sh.journal.close()
 			return nil, fmt.Errorf("serve: shard %s journal replay: %w", spec.Name, rerr)
 		}
 		for _, st := range states {
-			sh.probes[st.ID] = &probeRec{Tenant: st.Tenant, Spec: st.Spec, EngID: engIDs[st.ID], Active: st.Active, gen: 1}
+			rec := &probeRec{Tenant: st.Tenant, Spec: st.Spec, Active: st.Active}
+			if engID, ok := engIDs[st.ID]; ok {
+				rec.EngID, rec.gen = engID, 1
+			}
+			sh.probes[st.ID] = rec
 			if st.ID > sh.nextID.Load() {
 				sh.nextID.Store(st.ID)
 			}
@@ -311,11 +349,7 @@ func newShard(spec ShardSpec) (*shard, error) {
 	sh.slot = slot
 
 	if spec.Replicas > 0 {
-		// bootReplica registers itself as sh.replica; a shard without its
-		// spare is degraded, not down.
-		if _, rerr := bootReplica(sh); rerr != nil {
-			sh.metrics.replicaFailures.Inc()
-		}
+		sh.bootSpare()
 	}
 
 	sh.lc = newLifecycle(sh, spec.Watchdog)
@@ -382,12 +416,10 @@ func (sh *shard) beginSwap() {
 // endSwap installs the new slot (nil keeps the old one, e.g. a failed
 // recovery that will retry) and reopens the gate. engIDs is the serve-ID →
 // engine-ID mapping the swap's replay produced; the ledger is rewritten to
-// it under the same lock that installs the slot. Ops that committed during
-// the swap window are then replayed onto the new slot and forwarded to the
-// hot spare, in commit order.
+// it under the same lock that installs the slot. Ops that committed on the
+// old slot during the window are converged onto the new one by their own
+// requests (see committed).
 func (sh *shard) endSwap(slot *engineSlot, engIDs map[int64]int) {
-	var pending []journalOp
-	var rep *replica
 	sh.mu.Lock()
 	if slot != nil {
 		sh.slotGen++
@@ -399,9 +431,6 @@ func (sh *shard) endSwap(slot *engineSlot, engIDs map[int64]int) {
 			}
 		}
 		sh.slot = slot
-		pending = sh.pendingOps
-		sh.pendingOps = nil
-		rep = sh.replica
 	}
 	sh.swapping = false
 	if sh.gate != nil {
@@ -409,16 +438,6 @@ func (sh *shard) endSwap(slot *engineSlot, engIDs map[int64]int) {
 		sh.gate = nil
 	}
 	sh.mu.Unlock()
-	if len(pending) > 0 {
-		go func() {
-			sh.applyOps(pending)
-			if rep != nil {
-				for _, op := range pending {
-					rep.forward(op)
-				}
-			}
-		}()
-	}
 }
 
 // markDead records the terminal rung of the recovery ladder and unparks
@@ -427,7 +446,6 @@ func (sh *shard) markDead(cause error) {
 	sh.mu.Lock()
 	sh.deadErr = fmt.Errorf("%w: %v", ErrShardDead, cause)
 	sh.swapping = false
-	sh.pendingOps = nil
 	if sh.gate != nil {
 		close(sh.gate)
 		sh.gate = nil
@@ -438,12 +456,37 @@ func (sh *shard) markDead(cause error) {
 // nextProbeID allocates a serve-level probe ID.
 func (sh *shard) nextProbeID() int64 { return sh.nextID.Add(1) }
 
+// lockProbe serializes the ops on one probe: a request holds the probe's
+// lock from submission through its ledger update and its convergence onto
+// a swapped-in slot (committed), so the engine and the ledger see one
+// probe's ops in the same order. Returns the unlock.
+func (sh *shard) lockProbe(id int64) func() {
+	sh.mu.Lock()
+	mu := sh.opLocks[id]
+	if mu == nil {
+		mu = new(sync.Mutex)
+		sh.opLocks[id] = mu
+	}
+	sh.mu.Unlock()
+	mu.Lock()
+	return mu.Unlock
+}
+
 // record remembers a freshly admitted probe before its activation commits,
 // so quarantine attribution works even when the activation fails. slot is
 // the slot the probe was registered on.
 func (sh *shard) record(slot *engineSlot, id int64, engID int, tenant string, spec ProbeSpec) {
 	sh.mu.Lock()
 	sh.probes[id] = &probeRec{Tenant: tenant, Spec: spec, EngID: engID, gen: slot.gen}
+	sh.mu.Unlock()
+}
+
+// bind points an existing record at engID, its registration on slot.
+func (sh *shard) bind(slot *engineSlot, id int64, engID int) {
+	sh.mu.Lock()
+	if rec := sh.probes[id]; rec != nil {
+		rec.EngID, rec.gen = engID, slot.gen
+	}
 	sh.mu.Unlock()
 }
 
@@ -458,13 +501,13 @@ func (sh *shard) lookupProbe(id int64) (probeRec, bool) {
 	return *rec, true
 }
 
-// committed journals one committed probe op, updates the ledger, and feeds
-// the hot spare. slot is the slot the op committed on. Two races with
-// failover are closed here: an op committing while a swap is in flight is
-// parked in pendingOps (endSwap replays it onto the incoming slot), and an
-// op that committed on a slot that has already been swapped out is
-// re-applied to the current slot in the background. Either way the journal
-// has the op first, so a crash mid-convergence is repaired by replay.
+// committed journals one committed probe op and updates the ledger. slot is
+// the slot the op committed on. If a failover is swapping that slot out (or
+// already has), the caller waits for the swap to finish and converges the
+// new slot with the ledger before it answers: the swap's replay may have
+// read the ledger before the op committed. The caller holds the probe's
+// lock, so no other op on the probe interleaves. The journal has the op
+// first, so a crash before convergence is repaired by boot replay.
 func (sh *shard) committed(slot *engineSlot, op journalOp) {
 	sh.journal.append(op)
 	sh.metrics.journalAppends.Inc()
@@ -477,100 +520,66 @@ func (sh *shard) committed(slot *engineSlot, op journalOp) {
 			rec.Active = false
 		}
 	}
-	if sh.swapping {
-		sh.pendingOps = append(sh.pendingOps, op)
+	for sh.swapping {
+		gate := sh.gate
 		sh.mu.Unlock()
-		return
-	}
-	rep := sh.replica
-	cur := sh.slot
-	sh.mu.Unlock()
-	if rep != nil {
-		rep.forward(op)
-	}
-	if cur != nil && cur != slot {
-		go sh.applyOps([]journalOp{op})
-	}
-}
-
-// applyOps replays committed ops onto the current serving slot, in order.
-// Used for late commits that raced a swap; best-effort (see committed).
-func (sh *shard) applyOps(ops []journalOp) {
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	for _, op := range ops {
-		sh.applyOp(ctx, op)
-	}
-}
-
-// applyOp converges the current slot with one committed op. The record's
-// slot generation says whether the slot already knows the probe: an add
-// whose record is already on the current generation was covered by the
-// swap's replay and is skipped; a non-add op whose record is on an older
-// generation targets a probe the slot never registered, so it is left for
-// journal replay to repair.
-func (sh *shard) applyOp(ctx context.Context, op journalOp) {
-	sh.mu.Lock()
-	slot := sh.slot
-	rec := sh.probes[op.ID]
-	if slot == nil || rec == nil {
-		sh.mu.Unlock()
-		return
-	}
-	current := rec.gen == slot.gen
-	engID := rec.EngID
-	spec := rec.Spec
-	sh.mu.Unlock()
-	switch op.Op {
-	case jopAdd:
-		if current {
-			return
-		}
-		newID, tk, err := slot.sup.AddProbeCtx(ctx, buildProbe(spec, sh.site.Add(1)))
-		if err != nil {
-			return
-		}
+		<-gate
 		sh.mu.Lock()
-		if r := sh.probes[op.ID]; r != nil {
-			r.EngID = newID
-			r.gen = slot.gen
-		}
-		sh.mu.Unlock()
-		tk.Wait(ctx)
-	case jopEnable:
-		if !current {
-			return
-		}
-		if tk, err := slot.sup.EnableProbeCtx(ctx, engID); err == nil {
-			tk.Wait(ctx)
-		}
-	case jopRemove:
-		if !current {
-			return
-		}
-		if tk, err := slot.sup.RemoveProbeCtx(ctx, engID); err == nil {
-			tk.Wait(ctx)
-		}
-	case jopChange:
-		if !current {
-			return
-		}
-		if tk, err := slot.sup.MarkChangedCtx(ctx, engID); err == nil {
-			tk.Wait(ctx)
-		}
+	}
+	cur := sh.slot
+	dead := sh.deadErr != nil
+	sh.mu.Unlock()
+	if !dead && cur != nil && cur != slot {
+		sh.converge(cur, op.ID)
 	}
 }
 
-// ledgerStates reduces the in-memory probe ledger to replayable states (the
-// same shape a journal reduction yields) — the source for replica seeding
-// and lagging-replica recovery.
+// converge brings slot in line with the ledger for one probe: it registers
+// an active probe the slot does not know, and enables or removes a known
+// one whose engine state disagrees with the ledger. Best-effort: a failure
+// here (the slot itself being swapped out) leaves the ledger as the truth
+// the next replay restores.
+func (sh *shard) converge(slot *engineSlot, id int64) {
+	ctx, cancel := ctxTimeout(time.Minute)
+	defer cancel()
+	rec, ok := sh.lookupProbe(id)
+	if !ok {
+		return
+	}
+	var tk *core.Ticket
+	var err error
+	switch {
+	case rec.gen != slot.gen:
+		if !rec.Active {
+			return
+		}
+		var engID int
+		if engID, tk, err = slot.sup.AddProbeCtx(ctx, buildProbe(rec.Spec, sh.site.Add(1))); err == nil {
+			sh.bind(slot, id, engID)
+		}
+	case rec.Active == slot.eng.Manager.IsActive(rec.EngID):
+		return
+	case rec.Active:
+		tk, err = slot.sup.EnableProbeCtx(ctx, rec.EngID)
+	default:
+		tk, err = slot.sup.RemoveProbeCtx(ctx, rec.EngID)
+	}
+	if err == nil {
+		tk.Wait(ctx)
+	}
+}
+
+// ledgerStates reduces the in-memory probe ledger to replayable states in
+// ascending serve-ID order (the same shape and order a journal reduction
+// yields) — what restart and promotion replay onto the incoming slot.
 func (sh *shard) ledgerStates() []probeState {
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	out := make([]probeState, 0, len(sh.probes))
 	for id, rec := range sh.probes {
 		out = append(out, probeState{ID: id, Tenant: rec.Tenant, Spec: rec.Spec, Active: rec.Active})
 	}
+	sh.mu.Unlock()
+	sortStates(out)
 	return out
 }
 
@@ -603,22 +612,22 @@ func (sh *shard) quickClose() {
 		sh.lc.stopWatchdog()
 	}
 	sh.mu.Lock()
-	rep := sh.replica
-	sh.replica = nil
+	spare := sh.spare
+	sh.spare = nil
+	sh.closed = true
 	slot := sh.slot
 	sh.slot = nil
 	sh.mu.Unlock()
-	if rep != nil {
-		rep.shutdown()
+	if spare != nil {
+		spare.close()
 	}
 	if slot != nil {
-		slot.sup.Close()
-		slot.eng.Close()
+		slot.close()
 	}
 	sh.journal.close()
 }
 
-// close stops the watchdog and replica, drains the serving supervisor
+// close stops the watchdog, closes the hot spare, drains the serving supervisor
 // (bounded by ctx), and closes the engine. Draining rather than closing
 // means already-admitted tickets still commit, and the supervisor snapshot
 // lands before engine teardown. If ctx expires the drain keeps running in
@@ -629,12 +638,13 @@ func (sh *shard) close(ctx context.Context) error {
 		sh.lc.stopWatchdog()
 	}
 	sh.mu.Lock()
-	rep := sh.replica
-	sh.replica = nil
+	spare := sh.spare
+	sh.spare = nil
+	sh.closed = true
 	slot := sh.slot
 	sh.mu.Unlock()
-	if rep != nil {
-		rep.shutdown()
+	if spare != nil {
+		spare.close()
 	}
 	defer sh.journal.close()
 	if slot == nil {

@@ -199,11 +199,19 @@ if [ -z "$caddr" ]; then
 	kill "$chaos_pid" 2>/dev/null || true
 	exit 1
 fi
-# Wait for the spare to converge before wedging the primary.
+# Wait for the spare to finish booting before wedging the primary.
 for _ in $(seq 1 300); do
 	"$cdir/odin-ctl" -addr "http://$caddr" health | grep -q 'spare-ready' && break
 	sleep 0.1
 done
+# One probe stays active through the failover: promotion replays the probe
+# ledger onto the spare, so the promoted slot must still report it.
+cfunc="$("$cdir/odin-ctl" -addr "http://$caddr" funcs s | head -n 1)"
+if ! "$cdir/odin-ctl" -addr "http://$caddr" -tenant ci probe-add s "$cfunc" >/dev/null; then
+	echo "chaos smoke: probe-add before the wedge failed"
+	kill "$chaos_pid" 2>/dev/null || true
+	exit 1
+fi
 # Storm until the watchdog has promoted; every storm must commit cleanly
 # even while the wedge and the failover swap are in flight.
 promoted=""
@@ -229,8 +237,13 @@ if ! echo "$health_out" | grep -q 'healthy'; then
 	echo "$health_out"
 	exit 1
 fi
+if ! echo "$health_out" | grep -q 'probes=1 '; then
+	echo "chaos smoke: promotion lost the active probe (want probes=1):"
+	echo "$health_out"
+	exit 1
+fi
 rm -rf "$cdir"
-echo "chaos smoke: ok (spare promoted under wedge, zero dropped commits)"
+echo "chaos smoke: ok (spare promoted under wedge, zero dropped commits, active probe replayed)"
 
 echo "== persist fault sweep (persist:* sites) =="
 # The persistence arm of the faults experiment: engine restarts onto a
