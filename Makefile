@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test verify-all race soak fmt-check bench-parallel bench-telemetry bench-record bench-check alloc-budget verify-budget warm-bench persist-faults serve-storm serve-chaos ci
+.PHONY: all build vet test verify-all race soak fmt-check bench-parallel bench-telemetry bench-record bench-check alloc-budget verify-budget warm-bench persist-faults serve-storm serve-chaos perfbench ci
 
 all: build
 
@@ -118,5 +118,11 @@ alloc-budget:
 verify-budget:
 	$(GO) run ./cmd/odin-bench -experiment verify-overhead -toggle-rounds 60
 
-ci: vet build test verify-all race fmt-check alloc-budget verify-budget bench-check
+# The benchmark harness is its own Go module (perfbench/go.mod), so the root
+# ./... never compiles it: vet and test it on its own so an internal API
+# change cannot break the benchmark unnoticed.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+ci: vet build test perfbench verify-all race fmt-check alloc-budget verify-budget bench-check
 	@echo "ci: all checks passed"

@@ -431,12 +431,12 @@ func (e *Engine) TelemetryAddr() string {
 }
 
 // Close releases the engine's resources exactly once: it writes the state
-// snapshot (when Options.SnapshotPath is set), flushes and closes the
-// persistent store, and stops the introspection endpoint. Close is
+// snapshot (when Options.SnapshotPath is set), closes the persistent
+// store, and stops the introspection endpoint. Close is
 // idempotent and safe to call concurrently — including while a rebuild is
 // in flight: a racing commit's store publishes lose cleanly (counted
-// fallbacks, in-memory cache unaffected), and the store's journal is
-// flushed exactly once.
+// fallbacks, in-memory cache unaffected), and the store's writer lock is
+// released exactly once.
 func (e *Engine) Close() error {
 	e.closeOnce.Do(func() {
 		// Snapshot before closing the store: SaveSnapshot reads only engine

@@ -26,10 +26,10 @@ import (
 
 // persistBuildID is the toolchain identity stamped into every persisted
 // blob. Artifacts are machine code for Odin's deterministic MIR target, so
-// the Go release (which fixes gob encoding details and the compiler package
-// versions baked into this binary) plus the persist schema are the
-// compatibility surface; cache-relevant engine configuration (opt level,
-// codegen strategy) is folded into each entry's key instead.
+// the Go release (which fixes the compiler package versions baked into this
+// binary) plus the persist schema are the compatibility surface;
+// cache-relevant engine configuration (opt level, codegen strategy) is
+// folded into each entry's key instead.
 func persistBuildID() string {
 	return fmt.Sprintf("%s/odin-schema-%d", runtime.Version(), persist.Schema)
 }

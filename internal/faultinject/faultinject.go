@@ -47,8 +47,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"odin/internal/telemetry"
 )
 
 // Kind is the failure mode a rule injects.
@@ -218,31 +216,6 @@ func decide(seed uint64, site string, seq int) float64 {
 	h *= 0x94D049BB133111EB
 	h ^= h >> 31
 	return float64(h>>11) / float64(1<<53)
-}
-
-// Register exposes the injector's aggregate counters on reg as live gauges:
-// odin_faultinject_calls (hook calls seen across all sites) and
-// odin_faultinject_injected (faults actually fired). A nil registry is a
-// no-op. Gauges are sampled at scrape time, so they stay current without the
-// injector touching the registry on the hot path.
-func (in *Injector) Register(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.Describe("odin_faultinject_calls", "Fault-hook calls observed by the injector across all sites.")
-	reg.Describe("odin_faultinject_injected", "Faults the injector has fired (errors, panics, and stalls).")
-	reg.GaugeFunc("odin_faultinject_calls", func() int64 {
-		in.mu.Lock()
-		defer in.mu.Unlock()
-		n := 0
-		for _, c := range in.calls {
-			n += c
-		}
-		return int64(n)
-	})
-	reg.GaugeFunc("odin_faultinject_injected", func() int64 {
-		return int64(in.TotalInjected())
-	})
 }
 
 // Calls returns a copy of the per-site hook call counts.

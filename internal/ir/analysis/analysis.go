@@ -79,9 +79,3 @@ func (info *Info) LiveIn(b *ir.Block, v ir.Value) bool { return info.liveIn[b][v
 
 // LiveOut reports whether v is live on exit from b.
 func (info *Info) LiveOut(b *ir.Block, v ir.Value) bool { return info.liveOut[b][v] }
-
-// LiveInSet returns the live-in set of b. Shared; do not mutate.
-func (info *Info) LiveInSet(b *ir.Block) map[ir.Value]bool { return info.liveIn[b] }
-
-// LiveOutSet returns the live-out set of b. Shared; do not mutate.
-func (info *Info) LiveOutSet(b *ir.Block) map[ir.Value]bool { return info.liveOut[b] }

@@ -178,15 +178,6 @@ func (p Pred) Swap() Pred {
 	return p
 }
 
-// IsSigned reports whether the predicate interprets operands as signed.
-func (p Pred) IsSigned() bool {
-	switch p {
-	case PredSLT, PredSLE, PredSGT, PredSGE:
-		return true
-	}
-	return false
-}
-
 // EvalPred evaluates predicate p on two 64-bit values already normalized to
 // their width (sign-extended for their scalar type).
 func EvalPred(p Pred, a, b int64, t ScalarType) bool {

@@ -22,7 +22,7 @@ import (
 //	14      n     build ID (toolchain + cache-relevant configuration)
 //	14+n    8     payload length, big-endian uint64
 //	22+n    32    SHA-256 of the payload
-//	54+n    ...   payload (gob)
+//	54+n    ...   payload (varint codec, codec.go; empty for MANIFEST)
 //
 // The checksum covers the payload; the header fields are implicitly covered
 // because any mutation of them misclassifies the blob (bad magic, skew, or a

@@ -8,13 +8,12 @@ import (
 	"sync"
 )
 
-// Log is a generic append-only record log with the store journal's
-// crash-tolerance discipline, for callers that need a replayable sequence of
-// opaque payloads (the serve layer's tenant-probe journal rides on it). Each
-// record is length-prefixed and self-checksummed and is appended with a
-// single write; replay stops at the first short or checksum-failing record —
-// a torn tail from a crash mid-append — and the writer truncates the tail
-// away before appending again. Like the store journal, appends are not
+// Log is the module's append-only record log, for callers that need a
+// replayable sequence of opaque payloads (the serve layer's tenant-probe
+// journal rides on it). Each record is length-prefixed and self-checksummed
+// and is appended with a single write; replay stops at the first short or
+// checksum-failing record — a torn tail from a crash mid-append — and the
+// writer truncates the tail away before appending again. Appends are not
 // fsynced per record: losing the final records of a crash costs replaying a
 // slightly older state, never reading a corrupt one.
 //
@@ -76,8 +75,13 @@ func OpenLog(path string, opts Options) (*Log, [][]byte, error) {
 		return nil, nil, fmt.Errorf("persist: open log: %w", err)
 	}
 	recs, goodLen := decodeLogStream(data)
-	f, err := openJournalForAppend(path, goodLen)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
+		return nil, nil, fmt.Errorf("persist: open log: %w", err)
+	}
+	// Cut the torn tail, if any: appends land after the last good record.
+	if err := f.Truncate(goodLen); err != nil {
+		f.Close()
 		return nil, nil, fmt.Errorf("persist: open log: %w", err)
 	}
 	return &Log{f: f, recs: len(recs), hook: opts.FaultHook}, recs, nil

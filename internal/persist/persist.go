@@ -16,10 +16,9 @@
 //     content-addressed layout (objects/<xx>/<key>.obj). A reader can
 //     observe an entry fully or not at all; kill -9 between temp write and
 //     rename leaves only an ignorable temp file.
-//   - The journal is append-only with per-record checksums and tolerates a
-//     torn tail (kill -9 mid-append): replay stops at the first bad record
-//     and the writer truncates the tail away. A journal corrupted beyond
-//     repair is rebuilt from a directory scan, never trusted.
+//   - The objects directory is the store's only index: Open lists it by
+//     file name, and the writer's walk also sweeps abandoned temp files.
+//     There is no metadata file that could disagree with the entries.
 //   - Corrupt or skewed entries are evicted on detection (when the store
 //     holds the writer lock) and counted on the odin_persist_corrupt_evicted
 //     metric; the caller sees a plain miss and compiles cold.
@@ -42,9 +41,9 @@ import (
 )
 
 // Schema is the on-disk format version, stamped into every blob header.
-// Bump it when the blob layout, the journal record format, or a payload
-// shape (the entry codec or the gob-encoded snapshot structs) changes
-// incompatibly; skewed entries are evicted on load.
+// Bump it when the blob layout or a payload shape (the entry or snapshot
+// codec in codec.go) changes incompatibly; skewed entries are evicted on
+// load.
 //
 // History: 1 = gob entry payloads; 2 = varint entry codec (codec.go) and
 // snapshot survey/verification carryover.

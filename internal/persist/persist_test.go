@@ -207,39 +207,6 @@ func TestBuildIDSkewEvicts(t *testing.T) {
 	}
 }
 
-func TestJournalTornTail(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, testOptions())
-	for k := uint64(1); k <= 3; k++ {
-		if err := s.Put(k, testEntry(k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Close()
-
-	// Simulate kill -9 mid-append: a partial record at the tail.
-	jpath := filepath.Join(dir, "journal")
-	f, err := os.OpenFile(jpath, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write([]byte{journalOpPut, 0xde, 0xad})
-	f.Close()
-
-	s2 := mustOpen(t, dir, testOptions())
-	if s2.Len() != 3 {
-		t.Fatalf("torn-tail replay found %d entries, want 3", s2.Len())
-	}
-	// The writer truncated the tail; appends continue cleanly.
-	if err := s2.Put(4, testEntry(4)); err != nil {
-		t.Fatal(err)
-	}
-	s2.Close()
-	if fi, err := os.Stat(jpath); err != nil || fi.Size()%journalRecSize != 0 {
-		t.Fatalf("journal not truncated to record boundary: size %d", fi.Size())
-	}
-}
-
 func TestJournalGarbageRebuildsFromScan(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, testOptions())
@@ -255,6 +222,59 @@ func TestJournalGarbageRebuildsFromScan(t *testing.T) {
 	s2 := mustOpen(t, dir, testOptions())
 	if s2.Len() != 3 {
 		t.Fatalf("scan recovery found %d entries, want 3", s2.Len())
+	}
+	// The journal older stores kept is dead weight: the writer deletes it.
+	if _, err := os.Stat(filepath.Join(dir, "journal")); !os.IsNotExist(err) {
+		t.Fatalf("writer Open left the leftover journal in place: %v", err)
+	}
+}
+
+// TestStoreIndexIsDirectory pins that the objects directory is the index:
+// an entry that lands in objects/ without passing through this store's Put
+// (another writer's publish, a restored backup) is indexed on reopen, and
+// publishing leaves no metadata file beside the entries.
+func TestStoreIndexIsDirectory(t *testing.T) {
+	dir := t.TempDir()
+	o := testOptions()
+	s := mustOpen(t, dir, o)
+	for k := uint64(1); k <= 2; k++ {
+		if err := s.Put(k, testEntry(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+
+	// Publish key 3 in a sibling store and copy its entry file across.
+	other := mustOpen(t, t.TempDir(), testOptions())
+	if err := other.Put(3, testEntry(3)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(other.entryPath(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := s.entryPath(3)
+	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dst, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	o.Telemetry = telemetry.NewRegistry()
+	s2 := mustOpen(t, dir, o)
+	if st := s2.Stats(); st.Entries != 3 {
+		t.Fatalf("reopened store indexes %d entries, want 3", st.Entries)
+	}
+	if got := s2.metrics.Entries.Value(); got != 3 {
+		t.Fatalf("%s = %d, want 3", MetricEntries, got)
+	}
+	if e, err := s2.Get(3); err != nil || e == nil {
+		t.Fatalf("Get of the copied entry: (%v, %v)", e, err)
+	}
+	s2.Close()
+	if _, err := os.Stat(filepath.Join(dir, "journal")); !os.IsNotExist(err) {
+		t.Fatalf("store left a journal file after Put and Close: %v", err)
 	}
 }
 
@@ -273,6 +293,38 @@ func TestAbandonedTempSwept(t *testing.T) {
 	mustOpen(t, dir, testOptions())
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Fatalf("abandoned temp file survived reopen: %v", err)
+	}
+}
+
+// TestReadOnlyOpenKeepsWriterTemps pins who may sweep temp files: a reader
+// sharing the directory must leave them, since they may be a live writer's
+// in-flight publishes; only a writer Open removes them.
+func TestReadOnlyOpenKeepsWriterTemps(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, testOptions())
+	if err := s.Put(1, testEntry(1)); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	tmp := filepath.Join(filepath.Dir(s.entryPath(1)), tempPattern+"in-flight-12345")
+	if err := os.WriteFile(tmp, []byte("half a write"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	ro := testOptions()
+	ro.ReadOnly = true
+	r := mustOpen(t, dir, ro)
+	if r.Len() != 1 {
+		t.Fatalf("read-only store indexes %d entries, want 1", r.Len())
+	}
+	r.Close()
+	if _, err := os.Stat(tmp); err != nil {
+		t.Fatalf("read-only Open removed a temp file: %v", err)
+	}
+
+	mustOpen(t, dir, testOptions())
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("writer Open left the temp file in place: %v", err)
 	}
 }
 

@@ -1,8 +1,6 @@
 package persist
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
@@ -53,10 +51,11 @@ type Stats struct {
 // Store is a disk-backed artifact cache over one directory:
 //
 //	<dir>/lock            writer flock
-//	<dir>/MANIFEST        store identity blob (schema + build ID)
-//	<dir>/journal         append-only publish/evict log (see journal.go)
+//	<dir>/MANIFEST        store identity blob (header only: schema + build ID)
 //	<dir>/objects/<xx>/<key16>.obj   sharded content-addressed entries
 //
+// The objects directory is its own index: Open lists it once and keeps the
+// set of keys it found; there is no metadata file to replay or repair.
 // All methods are safe for concurrent use; Get and Put from concurrent
 // compile-pool workers serialize only on the in-memory index, not on I/O.
 type Store struct {
@@ -70,10 +69,9 @@ type Store struct {
 	writer bool
 	lockF  *os.File
 
-	mu      sync.Mutex
-	closed  bool
-	index   map[uint64]int64 // live keys → entry size
-	journal *os.File
+	mu     sync.Mutex
+	closed bool
+	index  map[uint64]struct{} // live keys
 
 	hits, misses, stores, corrupt, fallbacks atomic.Uint64
 	bytesRead, bytesWritten                  atomic.Uint64
@@ -85,8 +83,8 @@ const entrySuffix = ".obj"
 func entryName(key uint64) string { return fmt.Sprintf("%016x%s", key, entrySuffix) }
 
 func parseEntryName(name string) (uint64, bool) {
-	hex := strings.TrimSuffix(name, entrySuffix)
-	if len(hex) != 16 {
+	hex, ok := strings.CutSuffix(name, entrySuffix)
+	if !ok || len(hex) != 16 {
 		return 0, false
 	}
 	key, err := strconv.ParseUint(hex, 16, 64)
@@ -101,21 +99,11 @@ func (s *Store) entryPath(key uint64) string {
 	return filepath.Join(s.dir, "objects", fmt.Sprintf("%02x", byte(key>>56)), entryName(key))
 }
 
-// manifest is the store-identity payload. Entries carry the same identity in
-// every blob header; the manifest lets a writer detect a whole-directory
-// schema skew at Open and clear the dead weight eagerly instead of evicting
-// entry by entry.
-type manifest struct {
-	Schema  uint32
-	BuildID string
-}
-
 // Open opens (creating if needed) the artifact store in dir. The first
 // opener to win the writer flock may publish and evict; later openers on
 // the same directory — and Options.ReadOnly ones — degrade to read-only.
 // Open fails only on hard I/O errors against the directory itself; a
-// corrupt journal or manifest is repaired (writer) or tolerated (reader),
-// never fatal.
+// corrupt manifest is repaired (writer) or tolerated (reader), never fatal.
 func Open(dir string, o Options) (*Store, error) {
 	if err := fault(o.FaultHook, SiteOpen); err != nil {
 		return nil, err
@@ -139,18 +127,22 @@ func Open(dir string, o Options) (*Store, error) {
 		s.writer = lockF != nil
 	}
 
-	// Identity check. A writer finding a skewed or corrupt manifest owns the
-	// directory now: clear the incompatible entries and restamp. A reader
-	// can repair nothing — it opens with an empty view (every Get misses)
-	// rather than failing, since its engine must run regardless.
+	// Identity check. Entries carry the same identity in every blob header;
+	// the manifest lets a writer detect a whole-directory skew here and clear
+	// the dead weight eagerly instead of evicting entry by entry. A writer
+	// finding a skewed or corrupt manifest owns the directory now: clear the
+	// incompatible entries and restamp. A reader can repair nothing — it
+	// opens with an empty view (every Get misses) rather than failing, since
+	// its engine must run regardless.
 	manifestPath := filepath.Join(dir, "MANIFEST")
 	ok, err := checkManifest(manifestPath, o.BuildID)
 	if err != nil && s.writer {
+		releaseWriterLock(s.lockF)
 		return nil, err
 	}
 	if !ok {
 		if !s.writer {
-			s.index = map[uint64]int64{}
+			s.index = map[uint64]struct{}{}
 			s.metrics.Entries.Set(0)
 			return s, nil
 		}
@@ -164,74 +156,77 @@ func Open(dir string, o Options) (*Store, error) {
 		}
 	}
 
-	// Index: replay the journal, tolerate its torn tail, and cross-check
-	// against reality with a directory scan when the journal is useless.
-	index, goodLen, jerr := replayJournal(filepath.Join(dir, "journal"))
-	if jerr != nil || len(index) == 0 {
-		if scanned := scanObjects(objDir); len(scanned) > 0 || jerr != nil {
-			index = scanned
-			goodLen = 0 // journal unusable: writer rewrites it below
-		}
-	}
-	s.index = index
+	s.index = indexObjects(objDir, s.writer)
 	if s.writer {
-		sweepTemps(objDir)
-		jf, err := openJournalForAppend(filepath.Join(dir, "journal"), goodLen)
-		if err != nil {
-			releaseWriterLock(s.lockF)
-			return nil, err
-		}
-		s.journal = jf
-		if goodLen == 0 && len(index) > 0 {
-			// Rebuilt from scan: re-seed the journal so the next Open is a
-			// pure replay again.
-			for key, size := range index {
-				appendJournal(jf, journalRec{op: journalOpPut, key: key, size: size})
-			}
-		}
+		// Stores from before the directory was the index kept a
+		// publish/evict journal here; nothing reads it any more.
+		os.Remove(filepath.Join(dir, "journal"))
 	}
 	s.metrics.Entries.Set(int64(len(s.index)))
 	return s, nil
 }
 
+// indexObjects lists the sharded entry layout once and returns the keys it
+// holds, by file name alone: integrity is verified per load, so a file that
+// only looks like an entry costs one evicting miss. With sweep set (the
+// writer) the same walk removes abandoned temp files — kill -9 between temp
+// write and rename. A reader leaves them: they may be a live writer's
+// in-flight publishes.
+func indexObjects(dir string, sweep bool) map[uint64]struct{} {
+	index := map[uint64]struct{}{}
+	shards, err := os.ReadDir(dir)
+	if err != nil {
+		return index
+	}
+	for _, sh := range shards {
+		if !sh.IsDir() {
+			continue
+		}
+		shDir := filepath.Join(dir, sh.Name())
+		files, err := os.ReadDir(shDir)
+		if err != nil {
+			continue
+		}
+		for _, f := range files {
+			name := f.Name()
+			if strings.HasPrefix(name, tempPattern) {
+				if sweep {
+					os.Remove(filepath.Join(shDir, name))
+				}
+			} else if key, ok := parseEntryName(name); ok {
+				index[key] = struct{}{}
+			}
+		}
+	}
+	return index
+}
+
 // checkManifest reports whether the manifest matches the current identity.
+// The blob header carries the schema and build ID and readBlob checks both,
+// so the payload is never read: the empty one writeManifest stamps and the
+// gob-encoded copy of the header older stores wrote are equally valid.
 // Missing, corrupt, or skewed manifests all report false; only hard I/O
 // errors surface.
 func checkManifest(path, buildID string) (bool, error) {
-	payload, _, err := readBlob(path, MagicSnapshot, buildID)
-	if err != nil {
-		if errors.Is(err, ErrCorrupt) || errors.Is(err, ErrSchemaSkew) {
-			return false, nil
-		}
-		return false, err
-	}
-	if payload == nil {
+	_, n, err := readBlob(path, MagicSnapshot, buildID)
+	if errors.Is(err, ErrCorrupt) || errors.Is(err, ErrSchemaSkew) {
 		return false, nil
 	}
-	var m manifest
-	if gob.NewDecoder(bytes.NewReader(payload)).Decode(&m) != nil {
-		return false, nil
-	}
-	return m.Schema == Schema && m.BuildID == buildID, nil
+	return n > 0, err
 }
 
 func writeManifest(path, buildID string) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(manifest{Schema: Schema, BuildID: buildID}); err != nil {
-		return err
-	}
-	_, err := writeBlobAtomic(path, MagicSnapshot, buildID, buf.Bytes())
+	_, err := writeBlobAtomic(path, MagicSnapshot, buildID, nil)
 	return err
 }
 
-// clearAll removes every entry and the journal — the writer's response to a
-// whole-directory schema skew.
+// clearAll removes every entry — the writer's response to a whole-directory
+// schema skew.
 func (s *Store) clearAll() error {
 	objDir := filepath.Join(s.dir, "objects")
 	if err := os.RemoveAll(objDir); err != nil {
 		return err
 	}
-	os.Remove(filepath.Join(s.dir, "journal"))
 	return os.MkdirAll(objDir, 0o755)
 }
 
@@ -387,13 +382,11 @@ func (s *Store) Put(key uint64, e *Entry) error {
 	defer s.mu.Unlock()
 	if s.closed {
 		// Lost the race with Close after the entry landed: the entry is
-		// valid on disk and will be rediscovered by the next Open's scan;
-		// only this journal record is skipped.
+		// valid on disk and the next Open's directory walk indexes it.
 		return nil
 	}
-	s.index[key] = int64(n)
+	s.index[key] = struct{}{}
 	s.metrics.Entries.Set(int64(len(s.index)))
-	appendJournal(s.journal, journalRec{op: journalOpPut, key: key, size: int64(n)})
 	return nil
 }
 
@@ -410,16 +403,14 @@ func (s *Store) evict(key uint64, path string) {
 	defer s.mu.Unlock()
 	if s.writer && !s.closed {
 		os.Remove(path)
-		appendJournal(s.journal, journalRec{op: journalOpDel, key: key})
 	}
 	delete(s.index, key)
 	s.metrics.Entries.Set(int64(len(s.index)))
 }
 
 // dropIndexed forgets a key whose file vanished underneath the index (an
-// external cleanup); the journal records the deletion so the next Open
-// agrees. A Put racing the caller's miss publishes the file before it
-// indexes the key, so a key whose file exists again is kept.
+// external cleanup). A Put racing the caller's miss publishes the file
+// before it indexes the key, so a key whose file exists again is kept.
 func (s *Store) dropIndexed(key uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -431,14 +422,11 @@ func (s *Store) dropIndexed(key uint64) {
 	}
 	delete(s.index, key)
 	s.metrics.Entries.Set(int64(len(s.index)))
-	if s.writer && !s.closed {
-		appendJournal(s.journal, journalRec{op: journalOpDel, key: key})
-	}
 }
 
-// Close flushes the journal and releases the writer lock. It is idempotent
-// and safe to call concurrently with in-flight Gets and Puts: operations
-// that lose the race fail with ErrClosed and are counted fallbacks.
+// Close releases the writer lock. It is idempotent and safe to call
+// concurrently with in-flight Gets and Puts: operations that lose the race
+// fail with ErrClosed and are counted fallbacks.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -446,17 +434,7 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	var err error
-	if s.journal != nil {
-		if serr := s.journal.Sync(); serr != nil {
-			err = serr
-		}
-		if cerr := s.journal.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-		s.journal = nil
-	}
 	releaseWriterLock(s.lockF)
 	s.lockF = nil
-	return err
+	return nil
 }

@@ -1,7 +1,5 @@
 package progen
 
-import "odin/internal/ir"
-
 // Suite returns the 13-program evaluation suite: every program occurring in
 // both Google fuzzer-test-suite and FuzzBench, as selected by the paper
 // (§5), with shape profiles tuned to reproduce each target's qualitative
@@ -120,13 +118,4 @@ func Demo() Profile {
 		TinyHelpers: 6, DeadArgHelpers: 3, HelperCallDensity: 60, HelperCallsPerIter: 2,
 		ConstTables: 2, MagicsPerParser: 2, JunkArith: 2, PlantBug: true,
 	}
-}
-
-// GenerateSuite produces all 13 modules.
-func GenerateSuite() []*ir.Module {
-	var out []*ir.Module
-	for _, p := range Suite() {
-		out = append(out, p.Generate())
-	}
-	return out
 }

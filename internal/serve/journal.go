@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"odin/internal/persist"
@@ -34,12 +33,11 @@ type journalOp struct {
 	Spec   *ProbeSpec `json:"spec,omitempty"`
 }
 
-// probeJournal wraps the persist.Log with JSON encoding and best-effort
-// append semantics: a failed append (disk full, injected persist:log-append
-// fault) is counted, not fatal — the shard keeps serving, at the cost of
-// that op not surviving a restart.
+// probeJournal wraps the persist.Log (whose Append serializes) with JSON
+// encoding and best-effort append semantics: a failed append (disk full,
+// injected persist:log-append fault) is counted, not fatal — the shard keeps
+// serving, at the cost of that op not surviving a restart.
 type probeJournal struct {
-	mu    sync.Mutex
 	log   *persist.Log
 	drops atomic.Uint64
 }
@@ -76,10 +74,7 @@ func (j *probeJournal) append(op journalOp) {
 		j.drops.Add(1)
 		return
 	}
-	j.mu.Lock()
-	err = j.log.Append(payload)
-	j.mu.Unlock()
-	if err != nil {
+	if j.log.Append(payload) != nil {
 		j.drops.Add(1)
 	}
 }

@@ -15,6 +15,12 @@ go build ./...
 echo "== go test =="
 go test ./...
 
+echo "== perfbench module (go vet + go test) =="
+# perfbench/ is its own Go module (it reaches the engine through a replace
+# directive), so the root ./... never compiles it. Build and test it here so
+# an internal API change cannot break the benchmark harness unnoticed.
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== go test (ODIN_VERIFY=all: strict IR verification after every optimizer pass) =="
 # Re-run the engine-bearing packages (the only ones that read ODIN_VERIFY)
 # with the every-pass tier on: any optimizer pass that emits IR violating SSA
