@@ -1,22 +1,27 @@
 // Command odin-bench regenerates the paper's evaluation tables and figures
-// (§5) on the generated 13-program suite.
+// (§5) on the generated 13-program suite, plus the engine's own experiments.
 //
 // Usage:
 //
-//	odin-bench [-experiment all|fig3|fig8|fig9|fig10|fig11|fig12|headline|parallel|faults|storm|probe-toggle|verify-overhead|cold-warm|serve-storm|serve-chaos]
-//	           [-campaign N] [-programs a,b,c] [-parallel] [-workers N]
+//	odin-bench [-experiment all|NAME[,NAME...]]
+//	           [-campaign N] [-programs a,b,c] [-workers N]
 //	           [-fault-rounds N] [-fault-seed N] [-json] [-metrics-addr HOST:PORT]
 //	           [-storm-goroutines N] [-storm-requests N] [-toggle-rounds N]
 //	           [-coldwarm-rounds N] [-verify off|boundaries|all]
 //	           [-serve-tenants N] [-serve-requests N] [-serve-programs a,b]
 //	           [-bench-out FILE] [-bench-compare FILE]
 //
-// -experiment also accepts a comma-separated list of the self-contained
-// experiments (probe-toggle, verify-overhead, cold-warm, fig3,
-// serve-storm, serve-chaos), so one invocation can record a
-// multi-experiment benchmark artifact:
+// -experiment takes a comma-separated list of experiment names (see the
+// experiments table below); "all" stands for the paper's figures (fig3,
+// fig8–fig12, ablation, codegen, headline). The selected experiments run in
+// table order, and the program suite and the shared Fig 8 / Fig 10 results
+// are prepared once, on first use, so any mix is accepted:
 //
+//	odin-bench -experiment fig11,parallel -programs woff2
 //	odin-bench -experiment probe-toggle,verify-overhead -bench-out BENCH_7.json
+//
+// An experiment with an absolute gate (a reference match, a budget, a floor,
+// zero dropped work) prints its PASS/FAIL verdict, and a FAIL exits 1.
 //
 // -verify forces the engine verification tier (ODIN_VERIFY) for every engine
 // the harness creates; the verify-overhead experiment ignores it and pins its
@@ -29,12 +34,10 @@
 // every engine the harness creates and served live for the duration of the
 // run.
 //
-// -bench-out writes a benchmark artifact (BENCH_<n>.json schema: latency
-// percentiles, cache-hit rates, allocs/op) summarizing whichever of the
-// probe-toggle, parallel, and storm experiments ran. -bench-compare loads a
-// committed artifact and fails the run (exit 1) when the current results
-// regress p99 latency by more than 15% beyond a 2ms floor, or break the
-// structural splice invariants. See EXPERIMENTS.md.
+// -bench-out writes a benchmark artifact (BENCH_<n>.json, schema 2: a list
+// of metric records) holding the records of every experiment that ran.
+// -bench-compare loads a committed artifact and fails the run (exit 1) when
+// a record regresses past its gate kind or is missing. See EXPERIMENTS.md.
 package main
 
 import (
@@ -42,8 +45,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"strings"
+	"sync"
 
 	"odin/internal/bench"
 	"odin/internal/core"
@@ -51,28 +56,44 @@ import (
 	"odin/internal/telemetry"
 )
 
+// config is the harness configuration, filled from the flags.
+type config struct {
+	experiment, programs         string
+	campaign, workers            int
+	faultRounds                  int
+	faultSeed                    uint64
+	jsonOut                      bool
+	metricsAddr                  string
+	stormG, stormN               int
+	toggleRounds, coldWarmRounds int
+	cacheDir, snapshot           string
+	serveTenants, serveRequests  int
+	servePrograms                []string
+	benchOut, benchCompare       string
+}
+
 func main() {
-	experiment := flag.String("experiment", "all", "which experiment to run: all, fig3, fig8, fig9, fig10, fig11, fig12, headline, ablation, codegen, parallel, faults, storm, probe-toggle, verify-overhead, cold-warm, serve-storm, serve-chaos")
-	campaign := flag.Int("campaign", 400, "fuzzing iterations used to generate each replay corpus")
-	programs := flag.String("programs", "", "comma-separated subset of programs (default: all 13)")
-	parallel := flag.Bool("parallel", false, "with fig11: also report wall-clock speedup of the concurrent recompile pipeline")
-	workers := flag.Int("workers", 0, "worker count for the parallel experiment (0 = GOMAXPROCS)")
-	faultRounds := flag.Int("fault-rounds", 3, "rebuild rounds per program and injection-rate cell in the faults experiment")
-	faultSeed := flag.Uint64("fault-seed", 1, "base seed for the deterministic fault injector")
-	jsonOut := flag.Bool("json", false, "emit raw experiment results (full RebuildStats included) as JSON on stdout")
-	metricsAddr := flag.String("metrics-addr", "", "serve live telemetry for the run on this host:port (port 0 = pick a free port)")
-	stormG := flag.Int("storm-goroutines", 8, "concurrent submitter goroutines in the storm experiment")
-	stormN := flag.Int("storm-requests", 64, "probe requests per goroutine in the storm experiment")
-	toggleRounds := flag.Int("toggle-rounds", 40, "probe toggles per workload in the probe-toggle and verify-overhead experiments")
-	coldWarmRounds := flag.Int("coldwarm-rounds", 5, "engine restarts per arm and workload in the cold-warm experiment")
-	cacheDir := flag.String("cache-dir", "", "with -experiment cold-warm: pin each workload's persistent cache to a subdirectory of this path and leave it on disk for inspection (default: fresh temp dirs, removed)")
-	snapshot := flag.String("snapshot", "", "with -experiment cold-warm and -cache-dir: base path for the per-workload engine state snapshots (default: state.snap inside each workload's cache)")
-	serveTenants := flag.Int("serve-tenants", 3, "healthy tenants in the serve-storm experiment (the hostile arm adds one more)")
-	serveRequests := flag.Int("serve-requests", 40, "probe add/remove cycles per healthy tenant in the serve-storm experiment")
+	var c config
+	flag.StringVar(&c.experiment, "experiment", "all", "comma-separated experiments to run: all, "+strings.Join(experimentNames(), ", "))
+	flag.IntVar(&c.campaign, "campaign", 400, "fuzzing iterations used to generate each replay corpus")
+	flag.StringVar(&c.programs, "programs", "", "comma-separated subset of programs (default: all 13)")
+	flag.IntVar(&c.workers, "workers", 0, "worker count for the parallel experiment (0 = GOMAXPROCS)")
+	flag.IntVar(&c.faultRounds, "fault-rounds", 3, "rebuild rounds per program and injection-rate cell in the faults experiment")
+	flag.Uint64Var(&c.faultSeed, "fault-seed", 1, "base seed for the deterministic fault injector")
+	flag.BoolVar(&c.jsonOut, "json", false, "emit raw experiment results (full RebuildStats included) as JSON on stdout")
+	flag.StringVar(&c.metricsAddr, "metrics-addr", "", "serve live telemetry for the run on this host:port (port 0 = pick a free port)")
+	flag.IntVar(&c.stormG, "storm-goroutines", 8, "concurrent submitter goroutines in the storm experiment")
+	flag.IntVar(&c.stormN, "storm-requests", 64, "probe requests per goroutine in the storm experiment")
+	flag.IntVar(&c.toggleRounds, "toggle-rounds", 40, "probe toggles per workload in the probe-toggle and verify-overhead experiments")
+	flag.IntVar(&c.coldWarmRounds, "coldwarm-rounds", 5, "engine restarts per arm and workload in the cold-warm experiment")
+	flag.StringVar(&c.cacheDir, "cache-dir", "", "with -experiment cold-warm: pin each workload's persistent cache to a subdirectory of this path and leave it on disk for inspection (default: fresh temp dirs, removed)")
+	flag.StringVar(&c.snapshot, "snapshot", "", "with -experiment cold-warm and -cache-dir: base path for the per-workload engine state snapshots (default: state.snap inside each workload's cache)")
+	flag.IntVar(&c.serveTenants, "serve-tenants", 3, "healthy tenants in the serve-storm experiment (the hostile arm adds one more)")
+	flag.IntVar(&c.serveRequests, "serve-requests", 40, "probe add/remove cycles per healthy tenant in the serve-storm experiment")
 	servePrograms := flag.String("serve-programs", "json,woff2", "the two suite programs the serve-storm daemon shards host")
 	verify := flag.String("verify", "", "engine IR-verification tier for the run: off, boundaries, all (default: ODIN_VERIFY or boundaries)")
-	benchOut := flag.String("bench-out", "", "write a benchmark artifact (BENCH_<n>.json schema) to this file")
-	benchCompare := flag.String("bench-compare", "", "compare this run's artifact against a committed one; exit 1 on regression")
+	flag.StringVar(&c.benchOut, "bench-out", "", "write a benchmark artifact (BENCH_<n>.json schema) to this file")
+	flag.StringVar(&c.benchCompare, "bench-compare", "", "compare this run's artifact against a committed one; exit 1 on regression")
 	flag.Parse()
 
 	if *verify != "" {
@@ -85,30 +106,230 @@ func main() {
 		// into every constructor.
 		os.Setenv("ODIN_VERIFY", *verify)
 	}
-
-	serveCfg := serveStormCfg{tenants: *serveTenants, requests: *serveRequests}
 	for _, p := range strings.Split(*servePrograms, ",") {
 		if p = strings.TrimSpace(p); p != "" {
-			serveCfg.programs = append(serveCfg.programs, p)
+			c.servePrograms = append(c.servePrograms, p)
 		}
 	}
-	if err := run(*experiment, *campaign, *programs, *parallel, *workers, *faultRounds, *faultSeed, *jsonOut, *metricsAddr, *stormG, *stormN, *toggleRounds, *coldWarmRounds, *cacheDir, *snapshot, *benchOut, *benchCompare, serveCfg); err != nil {
+	if err := run(c); err != nil {
 		fmt.Fprintf(os.Stderr, "odin-bench: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-// serveStormCfg carries the serve-storm experiment's knobs.
-type serveStormCfg struct {
-	tenants  int
-	requests int
-	programs []string
+// experiment is one row of the experiments table. run prints the
+// experiment's table to r.w and returns its -json entries, its artifact
+// metric records, and its error: a failed run or a FAIL verdict.
+type experiment struct {
+	name  string
+	inAll bool
+	run   func(r *runner) (map[string]any, []bench.Metric, error)
 }
 
-func run(experiment string, campaign int, programs string, parallel bool, workers, faultRounds int, faultSeed uint64, jsonOut bool, metricsAddr string, stormG, stormN, toggleRounds, coldWarmRounds int, cacheDir, snapshot, benchOut, benchCompare string, serveCfg serveStormCfg) (err error) {
+// experiments is the harness, in run order. -json files each result under
+// the experiment's name with dashes turned into underscores.
+var experiments = []experiment{
+	row("fig3", true, func(*runner) (*bench.Fig3Result, error) { return bench.RunFig3() }, shown(bench.PrintFig3), nil),
+	row("fig8", true, (*runner).fig8, shown(bench.PrintFig8), nil),
+	row("fig9", true, derive((*runner).fig8, bench.Summarize), shown(bench.PrintFig9), nil),
+	row("fig10", true, (*runner).fig10, shown(func(w io.Writer, rows []bench.VariantResult) {
+		bench.PrintFig10(w, rows, bench.SummarizeFig10(rows))
+	}), nil),
+	row("fig11", true, derive((*runner).fig10, bench.Fig11), shown(bench.PrintFig11), nil),
+	row("parallel", false, func(r *runner) ([]bench.ParallelRow, error) {
+		progs, err := r.suite()
+		if err != nil {
+			return nil, err
+		}
+		return bench.RunParallel(progs, r.workers)
+	}, shown(bench.PrintParallel), bench.ParallelMetrics),
+	row("fig12", true, derive((*runner).fig10, bench.Fig12), shown(bench.PrintFig12), nil),
+	row("ablation", true, onSuite(bench.RunAblation), shown(bench.PrintAblation), nil),
+	row("codegen", true, onSuite(bench.RunCodegenAblation), shown(bench.PrintCodegenAblation), nil),
+	row("headline", true, func(r *runner) (*bench.HeadlineResult, error) {
+		f8, err := r.fig8()
+		if err != nil {
+			return nil, err
+		}
+		progs, _ := r.suite() // prepared by fig8
+		return bench.Headline(f8, progs)
+	}, shown(bench.PrintHeadline), nil),
+	{"faults", false, func(r *runner) (map[string]any, []bench.Metric, error) {
+		progs, err := r.suite()
+		if err != nil {
+			return nil, nil, err
+		}
+		rows, err := bench.RunFaults(progs, r.faultSeed, r.faultRounds)
+		if err != nil {
+			return nil, nil, err
+		}
+		bench.PrintFaults(r.w, rows)
+		fmt.Fprintln(r.w)
+		prows, err := bench.RunPersistFaults(progs, r.faultSeed, r.faultRounds)
+		if err != nil {
+			return map[string]any{"faults": rows}, nil, err
+		}
+		return map[string]any{"faults": rows, "persist_faults": prows}, nil, bench.PrintPersistFaults(r.w, prows)
+	}},
+	row("storm", false, func(r *runner) ([]bench.StormResult, error) {
+		progs, err := r.suite()
+		if err != nil {
+			return nil, err
+		}
+		return bench.RunStorm(progs, r.stormG, r.stormN, r.faultSeed)
+	}, shown(bench.PrintStorm), bench.StormMetrics),
+	row("probe-toggle", false, func(r *runner) ([]bench.ToggleResult, error) { return bench.RunToggle(r.toggleRounds) },
+		bench.PrintToggle, bench.ToggleMetrics),
+	row("verify-overhead", false, func(r *runner) ([]bench.VerifyOverheadResult, error) { return bench.RunVerifyOverhead(r.toggleRounds) },
+		bench.PrintVerifyOverhead, bench.VerifyOverheadMetrics),
+	row("cold-warm", false, func(r *runner) ([]bench.ColdWarmResult, error) {
+		return bench.RunColdWarm(r.coldWarmRounds, r.cacheDir, r.snapshot)
+	}, bench.PrintColdWarm, bench.ColdWarmMetrics),
+	row("serve-storm", false, func(r *runner) (*bench.ServeStormSummary, error) {
+		return bench.RunServeStorm(r.servePrograms, r.serveTenants, r.serveRequests)
+	}, bench.PrintServeStorm, bench.ServeStormMetrics),
+	row("serve-chaos", false, func(r *runner) (*bench.ServeChaosSummary, error) {
+		prog := "json"
+		if len(r.servePrograms) > 0 {
+			prog = r.servePrograms[0]
+		}
+		return bench.RunServeChaos(prog, r.serveTenants, r.serveRequests)
+	}, bench.PrintServeChaos, bench.ServeChaosMetrics),
+}
+
+// row assembles an experiment from its parts: compute produces the result,
+// print renders it and returns its verdict, and metrics (nil for none)
+// summarizes it for the benchmark artifact.
+func row[T any](name string, inAll bool, compute func(*runner) (T, error), print func(io.Writer, T) error, metrics func(T) []bench.Metric) experiment {
+	return experiment{name, inAll, func(r *runner) (map[string]any, []bench.Metric, error) {
+		v, err := compute(r)
+		if err != nil {
+			return nil, nil, err
+		}
+		var ms []bench.Metric
+		if metrics != nil {
+			ms = metrics(v)
+		}
+		return map[string]any{strings.ReplaceAll(name, "-", "_"): v}, ms, print(r.w, v)
+	}}
+}
+
+// shown adapts a table printer that carries no verdict.
+func shown[T any](print func(io.Writer, T)) func(io.Writer, T) error {
+	return func(w io.Writer, v T) error { print(w, v); return nil }
+}
+
+// derive computes a result from a shared one.
+func derive[A, B any](in func(*runner) (A, error), f func(A) B) func(*runner) (B, error) {
+	return func(r *runner) (B, error) {
+		a, err := in(r)
+		if err != nil {
+			var zero B
+			return zero, err
+		}
+		return f(a), nil
+	}
+}
+
+// onSuite runs an experiment over the prepared program suite.
+func onSuite[T any](f func([]*bench.ProgramData) (T, error)) func(*runner) (T, error) {
+	return func(r *runner) (T, error) {
+		progs, err := r.suite()
+		if err != nil {
+			var zero T
+			return zero, err
+		}
+		return f(progs)
+	}
+}
+
+func experimentNames() []string {
+	var names []string
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	return names
+}
+
+// selectExperiments resolves a comma-separated -experiment list against the
+// table, returning the selected rows in table order.
+func selectExperiments(list string) ([]experiment, error) {
+	want := map[string]bool{}
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(name)
+		found := false
+		for _, e := range experiments {
+			if e.name == name || name == "all" && e.inAll {
+				want[e.name], found = true, true
+			}
+		}
+		if !found {
+			return nil, fmt.Errorf("unknown experiment %q (want all or a comma-separated list of %s)", name, strings.Join(experimentNames(), ", "))
+		}
+	}
+	var sel []experiment
+	for _, e := range experiments {
+		if want[e.name] {
+			sel = append(sel, e)
+		}
+	}
+	return sel, nil
+}
+
+// runner carries the configuration and the inputs the experiments share:
+// the prepared program suite and the Fig 8 and Fig 10 results, each
+// computed once, on first use.
+type runner struct {
+	config
+	w     io.Writer
+	suite func() ([]*bench.ProgramData, error)
+	f8    func() (*bench.Fig8Result, error)
+	f10   func() ([]bench.VariantResult, error)
+}
+
+func (r *runner) fig8() (*bench.Fig8Result, error)      { return r.f8() }
+func (r *runner) fig10() ([]bench.VariantResult, error) { return r.f10() }
+
+func newRunner(c config, w io.Writer) *runner {
+	r := &runner{config: c, w: w}
+	r.suite = sync.OnceValues(func() ([]*bench.ProgramData, error) {
+		profiles := progen.Suite()
+		if c.programs != "" {
+			profiles = nil
+			for _, name := range strings.Split(c.programs, ",") {
+				p, ok := progen.ByName(strings.TrimSpace(name))
+				if !ok {
+					return nil, fmt.Errorf("unknown program %q", name)
+				}
+				profiles = append(profiles, p)
+			}
+		}
+		fmt.Fprintf(w, "preparing %d programs (campaign %d iterations each)...\n", len(profiles), c.campaign)
+		var progs []*bench.ProgramData
+		for _, p := range profiles {
+			pd, err := bench.Prepare(p, c.campaign)
+			if err != nil {
+				return nil, err
+			}
+			fmt.Fprintf(w, "  %-11s corpus=%d\n", pd.Name, len(pd.Corpus))
+			progs = append(progs, pd)
+		}
+		fmt.Fprintln(w)
+		return progs, nil
+	})
+	r.f8 = sync.OnceValues(func() (*bench.Fig8Result, error) { return onSuite(bench.RunFig8)(r) })
+	r.f10 = sync.OnceValues(func() ([]bench.VariantResult, error) { return onSuite(bench.RunFig10)(r) })
+	return r
+}
+
+func run(c config) error {
+	sel, err := selectExperiments(c.experiment)
+	if err != nil {
+		return err
+	}
 	var w io.Writer = os.Stdout
 	report := map[string]any{}
-	if jsonOut {
+	if c.jsonOut {
 		// Human-readable tables and progress move to stderr; stdout carries
 		// exactly one JSON document.
 		w = os.Stderr
@@ -118,19 +339,10 @@ func run(experiment string, campaign int, programs string, parallel bool, worker
 			enc.Encode(report)
 		}()
 	}
-	// The artifact accumulates whichever artifact-bearing experiments run;
-	// -bench-out / -bench-compare consume it after the experiment returns.
-	art := bench.NewArtifact()
-	defer func() {
-		if err != nil {
-			return
-		}
-		err = finishArtifact(os.Stderr, art, benchOut, benchCompare)
-	}()
-	if metricsAddr != "" {
+	if c.metricsAddr != "" {
 		bench.Telemetry = telemetry.NewRegistry()
-		srv, err := telemetry.Serve(metricsAddr, bench.Telemetry, func() any {
-			return map[string]any{"experiment": experiment}
+		srv, err := telemetry.Serve(c.metricsAddr, bench.Telemetry, func() any {
+			return map[string]any{"experiment": c.experiment}
 		})
 		if err != nil {
 			return err
@@ -139,320 +351,47 @@ func run(experiment string, campaign int, programs string, parallel bool, worker
 		fmt.Fprintf(os.Stderr, "telemetry: serving on %s\n", srv.Addr())
 	}
 
-	// The self-contained experiments need no prepared program suite and can
-	// be combined in one comma-separated -experiment invocation (one run
-	// records a multi-experiment artifact, which the regression gate needs:
-	// experiments missing from the current run count as regressions).
-	if names := strings.Split(experiment, ","); len(names) > 1 || isQuick(names[0]) {
-		for _, name := range names {
-			name = strings.TrimSpace(name)
-			if !isQuick(name) {
-				return fmt.Errorf("experiment %q cannot be combined; lists may only contain %s", name, quickExperiments)
-			}
-			if err := runQuick(name, w, report, art, toggleRounds, coldWarmRounds, cacheDir, snapshot, serveCfg); err != nil {
-				return err
-			}
-			fmt.Fprintln(w)
-		}
-		return nil
-	}
-
-	profiles := progen.Suite()
-	if programs != "" {
-		var sel []progen.Profile
-		for _, name := range strings.Split(programs, ",") {
-			p, ok := progen.ByName(strings.TrimSpace(name))
-			if !ok {
-				return fmt.Errorf("unknown program %q", name)
-			}
-			sel = append(sel, p)
-		}
-		profiles = sel
-	}
-	fmt.Fprintf(w, "preparing %d programs (campaign %d iterations each)...\n", len(profiles), campaign)
-	var progs []*bench.ProgramData
-	for _, p := range profiles {
-		pd, err := bench.Prepare(p, campaign)
+	r := newRunner(c, w)
+	var metrics []bench.Metric
+	for _, e := range sel {
+		rep, ms, err := e.run(r)
+		maps.Copy(report, rep)
+		metrics = append(metrics, ms...)
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", e.name, err)
 		}
-		fmt.Fprintf(w, "  %-11s corpus=%d\n", pd.Name, len(pd.Corpus))
-		progs = append(progs, pd)
-	}
-	fmt.Fprintln(w)
-
-	if experiment == "faults" {
-		rows, err := bench.RunFaults(progs, faultSeed, faultRounds)
-		if err != nil {
-			return err
-		}
-		report["faults"] = rows
-		bench.PrintFaults(w, rows)
-		fmt.Fprintln(w)
-		prows, err := bench.RunPersistFaults(progs, faultSeed, faultRounds)
-		if err != nil {
-			return err
-		}
-		report["persist_faults"] = prows
-		bench.PrintPersistFaults(w, prows)
-		pviol := 0
-		for _, r := range prows {
-			pviol += r.Violations()
-		}
-		if pviol > 0 {
-			return fmt.Errorf("persist fault sweep: %d invariant violations", pviol)
-		}
-		return nil
-	}
-	if experiment == "storm" {
-		rows, err := bench.RunStorm(progs, stormG, stormN, faultSeed)
-		if err != nil {
-			return err
-		}
-		report["storm"] = rows
-		bench.PrintStorm(w, rows)
-		art.AddStorm(rows)
-		return nil
-	}
-
-	needFig8 := experiment == "all" || experiment == "fig8" || experiment == "fig9" || experiment == "headline"
-	needFig10 := experiment == "all" || experiment == "fig10" || experiment == "fig11" || experiment == "fig12"
-	needParallel := experiment == "parallel" ||
-		(parallel && (experiment == "all" || experiment == "fig11"))
-
-	var f8 *bench.Fig8Result
-	if needFig8 {
-		var err error
-		f8, err = bench.RunFig8(progs)
-		if err != nil {
-			return err
-		}
-	}
-	var rows []bench.VariantResult
-	if needFig10 {
-		var err error
-		rows, err = bench.RunFig10(progs)
-		if err != nil {
-			return err
-		}
-	}
-
-	show := func(name string) bool { return experiment == "all" || experiment == name }
-	if experiment == "all" {
-		r, err := bench.RunFig3()
-		if err != nil {
-			return err
-		}
-		report["fig3"] = r
-		bench.PrintFig3(w, r)
 		fmt.Fprintln(w)
 	}
-	if show("fig8") {
-		report["fig8"] = f8
-		bench.PrintFig8(w, f8)
-		fmt.Fprintln(w)
-	}
-	if show("fig9") {
-		s := bench.Summarize(f8)
-		report["fig9"] = s
-		bench.PrintFig9(w, s)
-		fmt.Fprintln(w)
-	}
-	if show("fig10") {
-		report["fig10"] = rows
-		bench.PrintFig10(w, rows, bench.SummarizeFig10(rows))
-		fmt.Fprintln(w)
-	}
-	if show("fig11") {
-		f11 := bench.Fig11(rows)
-		report["fig11"] = f11
-		bench.PrintFig11(w, f11)
-		fmt.Fprintln(w)
-	}
-	if needParallel {
-		prows, err := bench.RunParallel(progs, workers)
-		if err != nil {
-			return err
-		}
-		report["parallel"] = prows
-		bench.PrintParallel(w, prows)
-		art.AddParallel(prows)
-		fmt.Fprintln(w)
-	}
-	if show("fig12") {
-		f12 := bench.Fig12(rows)
-		report["fig12"] = f12
-		bench.PrintFig12(w, f12)
-		fmt.Fprintln(w)
-	}
-	if show("ablation") {
-		rows, err := bench.RunAblation(progs)
-		if err != nil {
-			return err
-		}
-		report["ablation"] = rows
-		bench.PrintAblation(w, rows)
-		fmt.Fprintln(w)
-	}
-	if show("codegen") {
-		rows, err := bench.RunCodegenAblation(progs)
-		if err != nil {
-			return err
-		}
-		report["codegen"] = rows
-		bench.PrintCodegenAblation(w, rows)
-		fmt.Fprintln(w)
-	}
-	if show("headline") {
-		h, err := bench.Headline(f8, progs)
-		if err != nil {
-			return err
-		}
-		report["headline"] = h
-		bench.PrintHeadline(w, h)
-	}
-	return nil
+	return finishArtifact(os.Stderr, bench.NewArtifact(metrics), c.benchOut, c.benchCompare)
 }
 
-// quickExperiments are the self-contained experiments runQuick handles: they
-// synthesize their own workloads, so they skip suite preparation and may be
-// combined in a comma-separated -experiment list.
-const quickExperiments = "probe-toggle, verify-overhead, cold-warm, fig3, serve-storm, serve-chaos"
-
-func isQuick(name string) bool {
-	switch strings.TrimSpace(name) {
-	case "probe-toggle", "verify-overhead", "cold-warm", "fig3", "serve-storm", "serve-chaos":
-		return true
-	}
-	return false
-}
-
-// runQuick runs one self-contained experiment, folding its rows into the
-// JSON report and the benchmark artifact.
-func runQuick(name string, w io.Writer, report map[string]any, art *bench.Artifact, toggleRounds, coldWarmRounds int, cacheDir, snapshot string, serveCfg serveStormCfg) error {
-	switch name {
-	case "probe-toggle":
-		rows, err := bench.RunToggle(toggleRounds)
-		if err != nil {
-			return err
-		}
-		report["probe_toggle"] = rows
-		bench.PrintToggle(w, rows)
-		art.AddToggle(rows)
-		for _, r := range rows {
-			if !r.RefMatch {
-				return fmt.Errorf("probe-toggle: %s diverged from its cold reference", r.Program)
-			}
-		}
-	case "verify-overhead":
-		rows, err := bench.RunVerifyOverhead(toggleRounds)
-		if err != nil {
-			return err
-		}
-		report["verify_overhead"] = rows
-		bench.PrintVerifyOverhead(w, rows)
-		art.AddVerifyOverhead(rows)
-		for _, r := range rows {
-			if r.OverheadPct > bench.VerifyOverheadBudgetPct {
-				return fmt.Errorf("verify-overhead: %s overhead %.1f%% exceeds the %.0f%% budget",
-					r.Program, r.OverheadPct, bench.VerifyOverheadBudgetPct)
-			}
-		}
-	case "cold-warm":
-		rows, err := bench.RunColdWarm(coldWarmRounds, cacheDir, snapshot)
-		if err != nil {
-			return err
-		}
-		report["cold_warm"] = rows
-		bench.PrintColdWarm(w, rows)
-		art.AddColdWarm(rows)
-		for _, r := range rows {
-			if !r.RefMatch {
-				return fmt.Errorf("cold-warm: %s warm image diverged from its cold reference", r.Program)
-			}
-		}
-	case "serve-chaos":
-		prog := "json"
-		if len(serveCfg.programs) > 0 {
-			prog = serveCfg.programs[0]
-		}
-		sum, err := bench.RunServeChaos(prog, serveCfg.tenants, serveCfg.requests)
-		if err != nil {
-			return err
-		}
-		report["serve_chaos"] = sum
-		bench.PrintServeChaos(w, sum)
-		art.AddServeChaos(sum)
-		if sum.DroppedHealthy > 0 {
-			return fmt.Errorf("serve-chaos: %d healthy commits dropped during failover (must be 0)", sum.DroppedHealthy)
-		}
-		if sum.FailoverP99MS > bench.ChaosFailoverBudgetMS {
-			return fmt.Errorf("serve-chaos: failover p99 %.0fms exceeds the %dms budget",
-				sum.FailoverP99MS, bench.ChaosFailoverBudgetMS)
-		}
-	case "fig3":
-		r, err := bench.RunFig3()
-		if err != nil {
-			return err
-		}
-		report["fig3"] = r
-		bench.PrintFig3(w, r)
-	case "serve-storm":
-		sum, err := bench.RunServeStorm(serveCfg.programs, serveCfg.tenants, serveCfg.requests)
-		if err != nil {
-			return err
-		}
-		report["serve_storm"] = sum
-		bench.PrintServeStorm(w, sum)
-		art.AddServeStorm(sum)
-		if sum.DroppedHealthy > 0 {
-			return fmt.Errorf("serve-storm: %d healthy tickets dropped under hostile load", sum.DroppedHealthy)
-		}
-		if sum.IsolationX > bench.ServeIsolationFactor {
-			return fmt.Errorf("serve-storm: isolation %.2fx exceeds the %.1fx bound",
-				sum.IsolationX, bench.ServeIsolationFactor)
-		}
-	default:
-		return fmt.Errorf("unknown quick experiment %q", name)
-	}
-	return nil
-}
-
-// Regression thresholds for -bench-compare: p50/p99 may drift up to 15%
-// beyond a 2ms absolute floor (sub-floor jitter on fast machines never
-// trips the gate); structural invariants are exact.
-const (
-	regressTolPct  = 15.0
-	regressFloorMS = 2.0
-)
-
-// finishArtifact writes and/or compares the accumulated benchmark artifact.
+// finishArtifact writes and/or compares the run's benchmark artifact.
 func finishArtifact(w io.Writer, art *bench.Artifact, benchOut, benchCompare string) error {
-	if len(art.Experiments) == 0 {
-		if benchOut != "" || benchCompare != "" {
-			fmt.Fprintf(w, "bench artifact: no artifact-bearing experiment ran (probe-toggle, parallel, storm); nothing to record\n")
-		}
+	if benchOut == "" && benchCompare == "" {
+		return nil
+	}
+	if len(art.Metrics) == 0 {
+		fmt.Fprintf(w, "bench artifact: none of the selected experiments records metrics; nothing to record\n")
 		return nil
 	}
 	if benchOut != "" {
 		if err := art.WriteFile(benchOut); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "bench artifact: wrote %s (%d experiments)\n", benchOut, len(art.Experiments))
+		fmt.Fprintf(w, "bench artifact: wrote %s (%d metrics)\n", benchOut, len(art.Metrics))
 	}
 	if benchCompare != "" {
 		ref, err := bench.LoadArtifact(benchCompare)
 		if err != nil {
 			return err
 		}
-		bad := bench.CompareArtifacts(ref, art, regressTolPct, regressFloorMS)
-		if len(bad) > 0 {
+		if bad := bench.CompareArtifacts(ref, art); len(bad) > 0 {
 			for _, b := range bad {
 				fmt.Fprintf(w, "bench regression: %s\n", b)
 			}
 			return fmt.Errorf("%d benchmark regressions vs %s", len(bad), benchCompare)
 		}
-		fmt.Fprintf(w, "bench artifact: no regression vs %s (tol %.0f%%, floor %.0fms)\n", benchCompare, regressTolPct, regressFloorMS)
+		fmt.Fprintf(w, "bench artifact: no regression vs %s (%d metrics)\n", benchCompare, len(ref.Metrics))
 	}
 	return nil
 }

@@ -13,8 +13,11 @@
 // Usage:
 //
 //	odin-fuzz [-program demo | -ir file.ir] [-iters 5000] [-seed 1] [-prune]
-//	          [-rebuild-timeout D] [-metrics-addr HOST:PORT] [-storm N]
-//	          [-verify off|boundaries|all]
+//	          [-storm N] [-workers N] [-rebuild-timeout D] [-verify off|boundaries|all]
+//	          [-metrics-addr HOST:PORT] [-cache-dir DIR] [-snapshot FILE]
+//
+// The engine flags (-workers through -snapshot) are shared with odin-run
+// (package engineflag).
 //
 // With -storm N the harness fires N concurrent probe toggles through the
 // rebuild supervisor before the campaign — a stress pass proving the
@@ -28,13 +31,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"sync"
-	"syscall"
 	"time"
 
 	"odin/internal/core"
 	"odin/internal/cov"
+	"odin/internal/engineflag"
 	"odin/internal/fuzz"
 	"odin/internal/ir"
 	"odin/internal/irtext"
@@ -83,50 +85,19 @@ func main() {
 	iters := flag.Int("iters", 5000, "fuzz iterations")
 	seed := flag.Uint64("seed", 1, "campaign RNG seed")
 	prune := flag.Bool("prune", true, "prune covered probes via on-the-fly recompilation")
-	rebuildTimeout := flag.Duration("rebuild-timeout", 0, "deadline for one on-the-fly rebuild (0 = none)")
-	metricsAddr := flag.String("metrics-addr", "", "serve live telemetry (rebuild metrics, per-probe hit counts, traces) on this host:port")
 	storm := flag.Int("storm", 0, "fire this many concurrent probe toggles through the rebuild supervisor before the campaign (0 = off)")
-	verify := flag.String("verify", "", "engine IR-verification tier during the campaign: off, boundaries (default), or all")
-	cacheDir := flag.String("cache-dir", "", "persistent artifact cache directory (warm-starts the campaign's first build across runs)")
-	snapshot := flag.String("snapshot", "", "engine state snapshot file (restored at startup, rewritten at exit)")
+	engine := engineflag.Register(flag.CommandLine)
 	flag.Parse()
 
-	verifyMode, ok := core.ParseVerifyMode(*verify)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "odin-fuzz: -verify %q: want off, boundaries, or all\n", *verify)
+	opts, err := engine.Options()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "odin-fuzz: %v\n", err)
 		os.Exit(2)
 	}
-
-	if err := run(*program, *irFile, *iters, *seed, *prune, *rebuildTimeout, *metricsAddr, *storm, verifyMode, *cacheDir, *snapshot); err != nil {
+	if err := run(*program, *irFile, *iters, *seed, *prune, *storm, opts); err != nil {
 		fmt.Fprintf(os.Stderr, "odin-fuzz: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// closeOnSignal runs cleanup when the process receives SIGINT or SIGTERM —
-// flushing the persistent artifact store and state snapshot a finished
-// campaign would have written — then exits with the conventional 128+signal
-// status. The returned function releases the handler on the normal path.
-func closeOnSignal(cleanup func() error) func() {
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
-	done := make(chan struct{})
-	go func() {
-		select {
-		case sig := <-sigCh:
-			fmt.Fprintf(os.Stderr, "odin-fuzz: %v, flushing persistence\n", sig)
-			if err := cleanup(); err != nil {
-				fmt.Fprintf(os.Stderr, "odin-fuzz: close: %v\n", err)
-			}
-			code := 130 // 128 + SIGINT
-			if sig == syscall.SIGTERM {
-				code = 143
-			}
-			os.Exit(code)
-		case <-done:
-		}
-	}()
-	return func() { signal.Stop(sigCh); close(done) }
 }
 
 // loadModule resolves the campaign target: a parsed IR file or a generated
@@ -245,7 +216,7 @@ func stormToggle(tool *cov.Tool, n int) error {
 	return nil
 }
 
-func run(program, irFile string, iters int, seed uint64, prune bool, rebuildTimeout time.Duration, metricsAddr string, storm int, verify core.VerifyMode, cacheDir, snapshot string) error {
+func run(program, irFile string, iters int, seed uint64, prune bool, storm int, opts core.Options) error {
 	name, m, err := loadModule(program, irFile)
 	if err != nil {
 		return err
@@ -255,21 +226,15 @@ func run(program, irFile string, iters int, seed uint64, prune bool, rebuildTime
 	if err := ir.VerifyStrict(m); err != nil {
 		return classifyInvalidIR("before campaign", err)
 	}
-	tool, err := cov.New(m, core.Options{
-		Variant:        core.VariantOdin,
-		RebuildTimeout: rebuildTimeout,
-		MetricsAddr:    metricsAddr,
-		Verify:         verify,
-		CacheDir:       cacheDir,
-		SnapshotPath:   snapshot,
-	}, prune)
+	opts.Variant = core.VariantOdin
+	tool, err := cov.New(m, opts, prune)
 	if err != nil {
 		return err
 	}
 	defer tool.Engine.Close()
 	// An interrupted campaign still flushes the artifact cache and snapshot:
 	// Close is Once-guarded, so the deferred call stays a no-op afterwards.
-	defer closeOnSignal(tool.Engine.Close)()
+	defer engineflag.CloseOnSignal("odin-fuzz", tool.Engine.Close)()
 	if addr := tool.Engine.TelemetryAddr(); addr != "" {
 		fmt.Fprintf(os.Stderr, "telemetry: serving on %s\n", addr)
 	}

@@ -13,6 +13,13 @@
 //	                                              # concurrent rebuild supervisor
 //	odin-run -odin -metrics-addr 127.0.0.1:9090 [-metrics-hold 30s] -program sqlite
 //	                                              # + live introspection endpoint
+//	odin-run -odin -cache-dir DIR -snapshot FILE -program sqlite
+//	                                              # warm-start across runs
+//
+// The engine flags (-workers, -rebuild-timeout, -verify, -metrics-addr,
+// -cache-dir, -snapshot) are shared with odin-fuzz (package engineflag) and
+// apply with -odin. SIGINT or SIGTERM flushes the artifact cache and the
+// snapshot before exiting 130 or 143.
 package main
 
 import (
@@ -20,18 +27,16 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"odin/internal/core"
+	"odin/internal/engineflag"
 	"odin/internal/interp"
 	"odin/internal/ir"
 	"odin/internal/irtext"
 	"odin/internal/link"
 	"odin/internal/progen"
 	"odin/internal/rt"
-	"odin/internal/telemetry"
 	"odin/internal/toolchain"
 	"odin/internal/vm"
 )
@@ -44,29 +49,23 @@ func main() {
 	dump := flag.Bool("dump", false, "print the optimized IR instead of running")
 	program := flag.String("program", "", "run a generated suite program instead of a file")
 	odin := flag.Bool("odin", false, "build through the Odin fragment engine instead of the whole-module toolchain")
-	workers := flag.Int("workers", 0, "fragment compile workers for -odin (0 = GOMAXPROCS)")
-	rebuildTimeout := flag.Duration("rebuild-timeout", 0, "with -odin: deadline for one rebuild (0 = none)")
 	supervise := flag.Bool("supervise", false, "with -odin: run the build through the concurrent rebuild supervisor")
-	metricsAddr := flag.String("metrics-addr", "", "with -odin: serve telemetry on this host:port (port 0 = pick a free port)")
 	metricsHold := flag.Duration("metrics-hold", 0, "with -metrics-addr: keep serving this long after the run finishes")
-	verify := flag.String("verify", "", "with -odin: IR verification tier — off, boundaries (default), or all (strict check after every optimizer pass)")
-	cacheDir := flag.String("cache-dir", "", "with -odin: persistent artifact cache directory (warm-starts fragment compiles across runs)")
-	snapshot := flag.String("snapshot", "", "with -odin: engine state snapshot file (restored at startup, rewritten at exit)")
+	engine := engineflag.Register(flag.CommandLine) // the -odin engine's flags
 	flag.Parse()
 
-	verifyMode, ok := core.ParseVerifyMode(*verify)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "odin-run: -verify %q: want off, boundaries, or all\n", *verify)
+	opts, err := engine.Options()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "odin-run: %v\n", err)
 		os.Exit(2)
 	}
-
-	if err := run(*level, *useInterp, *input, *fn, *dump, *odin, *supervise, *workers, *rebuildTimeout, *metricsAddr, *metricsHold, verifyMode, *cacheDir, *snapshot, *program, flag.Args()); err != nil {
+	if err := run(*level, *useInterp, *input, *fn, *dump, *odin, *supervise, opts, *metricsHold, *program, flag.Args()); err != nil {
 		fmt.Fprintf(os.Stderr, "odin-run: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(level int, useInterp bool, input, fn string, dump, odin, supervise bool, workers int, rebuildTimeout time.Duration, metricsAddr string, metricsHold time.Duration, verify core.VerifyMode, cacheDir, snapshot, program string, args []string) error {
+func run(level int, useInterp bool, input, fn string, dump, odin, supervise bool, opts core.Options, metricsHold time.Duration, program string, args []string) error {
 	var m *ir.Module
 	switch {
 	case program != "":
@@ -139,18 +138,7 @@ func run(level int, useInterp bool, input, fn string, dump, odin, supervise bool
 	}
 
 	if odin {
-		opts := core.Options{
-			Workers:        workers,
-			RebuildTimeout: rebuildTimeout,
-			Verify:         verify,
-			CacheDir:       cacheDir,
-			SnapshotPath:   snapshot,
-			// The module was parsed solely for this engine.
-			AdoptModule: true,
-		}
-		if metricsAddr != "" {
-			opts.Telemetry = telemetry.NewRegistry()
-		}
+		opts.AdoptModule = true // the module was parsed solely for this engine
 		eng, err := core.New(m, opts)
 		if err != nil {
 			return err
@@ -160,14 +148,10 @@ func run(level int, useInterp bool, input, fn string, dump, odin, supervise bool
 		defer eng.Close()
 		// An interrupt must flush the same state: Close is Once-guarded, so
 		// the deferred call above stays a no-op if the handler fires first.
-		defer closeOnSignal("odin-run", eng.Close)()
-		if metricsAddr != "" {
-			srv, err := telemetry.Serve(metricsAddr, opts.Telemetry, func() any { return eng.Snapshot() })
-			if err != nil {
-				return err
-			}
-			defer srv.Close()
-			fmt.Fprintf(os.Stderr, "telemetry: serving on %s\n", srv.Addr())
+		defer engineflag.CloseOnSignal("odin-run", eng.Close)()
+		if addr := eng.TelemetryAddr(); addr != "" {
+			fmt.Fprintf(os.Stderr, "telemetry: serving on %s\n", addr)
+			// Deferred last, so the hold runs before Close stops the server.
 			if metricsHold > 0 {
 				defer time.Sleep(metricsHold)
 			}
@@ -215,7 +199,7 @@ func run(level int, useInterp bool, input, fn string, dump, odin, supervise bool
 			"; @%s = %d (%d cycles; odin: %d fragments, %d workers, %d cache hits; compile wall %v, serial-eq %v; link %v %s)\n",
 			fn, ret, mach.Cycles, len(st.Fragments), st.Workers, st.CacheHits,
 			st.CompileWall, st.SerialEquivalent(), st.LinkDur, linkMode)
-		if cacheDir != "" || snapshot != "" {
+		if opts.CacheDir != "" || opts.SnapshotPath != "" {
 			fmt.Fprintf(os.Stderr, "; persist: %d/%d fragments warm, snapshot restored %v, image %016x\n",
 				st.WarmHits, len(st.Fragments), eng.SnapshotRestored(), exe.Fingerprint())
 		}
@@ -235,33 +219,6 @@ func run(level int, useInterp bool, input, fn string, dump, odin, supervise bool
 	fmt.Fprintf(os.Stderr, "; @%s = %d (%d cycles; build: opt %v, codegen %v, link %v)\n",
 		fn, ret, mach.Cycles, st.Optimize, st.CodeGen, st.Link)
 	return nil
-}
-
-// closeOnSignal runs cleanup when the process receives SIGINT or SIGTERM —
-// flushing the persistent artifact store and state snapshot that the normal
-// deferred Close would have written — then exits with the conventional
-// 128+signal status. The returned function releases the handler so the
-// normal exit path does not leave a dangling goroutine claiming signals.
-func closeOnSignal(prog string, cleanup func() error) func() {
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
-	done := make(chan struct{})
-	go func() {
-		select {
-		case sig := <-sigCh:
-			fmt.Fprintf(os.Stderr, "%s: %v, flushing persistence\n", prog, sig)
-			if err := cleanup(); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: close: %v\n", prog, err)
-			}
-			code := 130 // 128 + SIGINT
-			if sig == syscall.SIGTERM {
-				code = 143
-			}
-			os.Exit(code)
-		case <-done:
-		}
-	}()
-	return func() { signal.Stop(sigCh); close(done) }
 }
 
 // runOn executes fn on the machine, wiring the fuzz input buffer when the

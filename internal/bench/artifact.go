@@ -1,10 +1,9 @@
 // Benchmark artifacts: a small, committed JSON summary of the performance
 // trajectory (BENCH_<n>.json at the repo root) that CI regresses against.
-// The artifact intentionally stores only scale-free or slowly-drifting
-// aggregates — percentiles, hit rates, allocation counts — not raw samples,
-// so a 15%-band comparison stays meaningful across machines of similar
-// class while structural invariants (a single-function toggle compiles
-// exactly one function) are checked exactly.
+// An artifact is a flat list of metric records. Each record names the gate
+// kind CompareArtifacts judges it by, so the comparison is one rule applied
+// to every record; the experiments' absolute gates (budgets, floors, zero
+// drops) are their verdicts, checked live when the experiment runs.
 package bench
 
 import (
@@ -15,171 +14,199 @@ import (
 	"odin/internal/persist"
 )
 
-// ArtifactMetrics is one experiment's summary in a benchmark artifact.
-type ArtifactMetrics struct {
-	// P50MS/P99MS are the experiment's headline latency percentiles
-	// (per-toggle rebuild latency for probe-toggle, compile wall-clock per
-	// program for parallel, ticket latency for storm).
-	P50MS float64 `json:"p50_ms"`
-	P99MS float64 `json:"p99_ms"`
-	// FragCacheHitPct and FuncCacheHitPct are fragment- and function-level
-	// cache-hit rates where the experiment measures them (0 otherwise).
-	FragCacheHitPct float64 `json:"frag_cache_hit_pct"`
-	FuncCacheHitPct float64 `json:"func_cache_hit_pct"`
-	// AllocsPerOp is heap allocations per operation (per probe toggle).
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	// FuncsCompiledPerToggle is probe-toggle's structural invariant: the
-	// mean member functions recompiled per single-probe toggle. CI checks
-	// it exactly (must stay 1.0), not within the latency band.
-	FuncsCompiledPerToggle float64 `json:"funcs_compiled_per_toggle,omitempty"`
-	// BaselineP99MS is the NoFuncCache arm's p99 where measured; the ratio
-	// to P99MS is the recorded splice win.
-	BaselineP99MS float64 `json:"baseline_p99_ms,omitempty"`
-	// OverheadPct is the verify-overhead experiment's headline: the
-	// boundaries verification tier's worst-case p50 rebuild-latency overhead
-	// across workload scales. CI gates it against an absolute budget
-	// (VerifyOverheadBudgetPct), not a drift band.
-	OverheadPct float64 `json:"overhead_pct,omitempty"`
-	// ColdP50MS and SpeedupX are the cold-vs-warm experiment's headline: the
-	// cold first-build p50 and the cold/warm p50 ratio. CI gates SpeedupX
-	// against the absolute WarmSpeedupFloor, not a drift band — the warm
-	// start must keep paying for itself.
-	ColdP50MS float64 `json:"cold_p50_ms,omitempty"`
-	SpeedupX  float64 `json:"speedup_x,omitempty"`
-	// IsolationX is the serve-storm experiment's headline: worst healthy-
-	// tenant p99 with a hostile tenant storming, over the no-hostile
-	// baseline. CI gates it against the absolute ServeIsolationFactor, and
-	// DroppedHealthy must stay zero exactly.
-	IsolationX     float64 `json:"isolation_x,omitempty"`
-	DroppedHealthy int     `json:"dropped_healthy,omitempty"`
-	// FailoverP99MS is the serve-chaos experiment's headline: the worst
-	// shard-failover unavailability window (begin-swap to end-swap) across
-	// the kill and wedge arms. CI gates it against the absolute
-	// ChaosFailoverBudgetMS budget, and DroppedHealthy must stay zero —
-	// failover parks in-flight requests, it never sheds them.
-	FailoverP99MS float64 `json:"failover_p99_ms,omitempty"`
+// Metric is one recorded number. Name is "<experiment>/<metric>"; Gate is a
+// key of gateKinds.
+type Metric struct {
+	Name  string  `json:"name"`
+	Unit  string  `json:"unit"`
+	Value float64 `json:"value"`
+	Gate  string  `json:"gate"`
 }
 
 // Artifact is the schema of BENCH_<n>.json.
 type Artifact struct {
-	Schema      int                        `json:"schema"`
-	Experiments map[string]ArtifactMetrics `json:"experiments"`
+	Schema  int      `json:"schema"`
+	Metrics []Metric `json:"metrics"`
 }
 
 // ArtifactSchema is the current artifact schema version.
-const ArtifactSchema = 1
+const ArtifactSchema = 2
 
-// NewArtifact returns an empty artifact at the current schema.
-func NewArtifact() *Artifact {
-	return &Artifact{Schema: ArtifactSchema, Experiments: map[string]ArtifactMetrics{}}
+// NewArtifact returns an artifact at the current schema holding metrics.
+func NewArtifact(metrics []Metric) *Artifact {
+	return &Artifact{Schema: ArtifactSchema, Metrics: metrics}
 }
 
-// AddToggle folds the probe-toggle rows into the artifact: worst-case (max)
-// percentiles across workload scales, mean hit rates and allocation counts.
-func (a *Artifact) AddToggle(rows []ToggleResult) {
-	if len(rows) == 0 {
-		return
+// gateKind is how CompareArtifacts judges a record: it regresses when the
+// current value moved in direction dir (+1: up is worse, -1: down is worse,
+// 0: recorded only) by more than tolPct percent of the recorded value and
+// by more than slack in the record's unit.
+type gateKind struct {
+	dir, tolPct, slack float64
+}
+
+// Gate kinds. A latency percentile may drift 15% beyond a 2ms slack (sub-
+// slack jitter on fast machines never trips the gate); allocations 15%
+// beyond 64 objects; a single-probe toggle must keep compiling one function
+// (splice invariant); a cache-hit rate may not shrink by more than a point.
+const (
+	gateNone        = "none"
+	gateDriftMS     = "drift-ms"
+	gateDriftAllocs = "drift-allocs"
+	gateSpliceFuncs = "splice-funcs"
+	gateHitPct      = "hit-pct"
+)
+
+var gateKinds = map[string]gateKind{
+	gateNone:        {},
+	gateDriftMS:     {dir: +1, tolPct: 15, slack: 2},
+	gateDriftAllocs: {dir: +1, tolPct: 15, slack: 64},
+	gateSpliceFuncs: {dir: +1, tolPct: 0, slack: 0.01},
+	gateHitPct:      {dir: -1, tolPct: 0, slack: 1},
+}
+
+func (g gateKind) regressed(want, got float64) bool {
+	switch {
+	case g.dir > 0:
+		return got > want*(1+g.tolPct/100) && got-want > g.slack
+	case g.dir < 0:
+		return got < want*(1-g.tolPct/100) && want-got > g.slack
 	}
-	var m ArtifactMetrics
+	return false
+}
+
+func rec(experiment, name, unit, gate string, v float64) Metric {
+	return Metric{Name: experiment + "/" + name, Unit: unit, Value: v, Gate: gate}
+}
+
+// ToggleMetrics summarizes probe-toggle: worst-case (max) percentiles,
+// allocations and functions per toggle across workload scales, and mean
+// hit rates.
+func ToggleMetrics(rows []ToggleResult) []Metric {
+	var p50, p99, base, frag, fn, allocs, funcs float64
 	for _, r := range rows {
-		m.P50MS = maxf(m.P50MS, r.P50MS)
-		m.P99MS = maxf(m.P99MS, r.P99MS)
-		m.BaselineP99MS = maxf(m.BaselineP99MS, r.BaseP99MS)
-		m.FragCacheHitPct += r.FragCacheHitPct / float64(len(rows))
-		m.FuncCacheHitPct += r.FuncCacheHitPct / float64(len(rows))
-		m.AllocsPerOp = maxf(m.AllocsPerOp, r.AllocsPerToggle)
-		m.FuncsCompiledPerToggle = maxf(m.FuncsCompiledPerToggle, r.FuncsCompiledPerToggle)
+		p50, p99, base = max(p50, r.P50MS), max(p99, r.P99MS), max(base, r.BaseP99MS)
+		frag += r.FragCacheHitPct / float64(len(rows))
+		fn += r.FuncCacheHitPct / float64(len(rows))
+		allocs = max(allocs, r.AllocsPerToggle)
+		funcs = max(funcs, r.FuncsCompiledPerToggle)
 	}
-	a.Experiments["probe-toggle"] = m
+	const e = "probe-toggle"
+	return []Metric{
+		rec(e, "p50_ms", "ms", gateDriftMS, p50),
+		rec(e, "p99_ms", "ms", gateDriftMS, p99),
+		rec(e, "baseline_p99_ms", "ms", gateNone, base),
+		rec(e, "frag_cache_hit_pct", "%", gateNone, frag),
+		rec(e, "func_cache_hit_pct", "%", gateHitPct, fn),
+		rec(e, "allocs_per_op", "allocs", gateDriftAllocs, allocs),
+		rec(e, "funcs_compiled_per_toggle", "funcs", gateSpliceFuncs, funcs),
+	}
 }
 
-// AddVerifyOverhead folds the verify-overhead rows into the artifact: the
-// boundaries arm's worst-case percentiles, the worst overhead percentage,
-// and the mean verification-cache hit rate.
-func (a *Artifact) AddVerifyOverhead(rows []VerifyOverheadResult) {
-	if len(rows) == 0 {
-		return
-	}
-	var m ArtifactMetrics
+// VerifyOverheadMetrics summarizes verify-overhead: the boundaries arm's
+// worst-case percentiles, the worst overhead and the mean verification-cache
+// hit rate.
+func VerifyOverheadMetrics(rows []VerifyOverheadResult) []Metric {
+	var p50, p99, over, hit float64
 	for _, r := range rows {
-		m.P50MS = maxf(m.P50MS, r.BoundaryP50MS)
-		m.P99MS = maxf(m.P99MS, r.BoundaryP99MS)
-		m.OverheadPct = maxf(m.OverheadPct, r.OverheadPct)
-		m.FuncCacheHitPct += r.CacheHitPct / float64(len(rows))
+		p50, p99, over = max(p50, r.BoundaryP50MS), max(p99, r.BoundaryP99MS), max(over, r.OverheadPct)
+		hit += r.CacheHitPct / float64(len(rows))
 	}
-	a.Experiments["verify-overhead"] = m
+	const e = "verify-overhead"
+	return []Metric{
+		rec(e, "p50_ms", "ms", gateDriftMS, p50),
+		rec(e, "p99_ms", "ms", gateDriftMS, p99),
+		rec(e, "overhead_pct", "%", gateNone, over),
+		rec(e, "func_cache_hit_pct", "%", gateHitPct, hit),
+	}
 }
 
-// AddParallel folds the parallel-recompilation rows into the artifact: the
-// per-program full-rebuild compile wall-clock distribution and the unchanged-
-// rebuild fragment hit rate.
-func (a *Artifact) AddParallel(rows []ParallelRow) {
-	if len(rows) == 0 {
-		return
-	}
+// ParallelMetrics summarizes parallel: the per-program full-rebuild compile
+// wall-clock distribution and the mean unchanged-rebuild fragment hit rate.
+func ParallelMetrics(rows []ParallelRow) []Metric {
 	var walls []float64
-	var m ArtifactMetrics
+	var hit float64
 	for _, r := range rows {
 		walls = append(walls, r.ParallelWallMS)
-		m.FragCacheHitPct += r.CacheHitPct / float64(len(rows))
+		hit += r.CacheHitPct / float64(len(rows))
 	}
-	m.P50MS = percentileF(walls, 50)
-	m.P99MS = percentileF(walls, 99)
-	a.Experiments["parallel"] = m
+	const e = "parallel"
+	return []Metric{
+		rec(e, "p50_ms", "ms", gateDriftMS, percentile(walls, 50)),
+		rec(e, "p99_ms", "ms", gateDriftMS, percentile(walls, 99)),
+		rec(e, "frag_cache_hit_pct", "%", gateNone, hit),
+	}
 }
 
-// AddColdWarm folds the cold-vs-warm rows into the artifact: the warm arm's
-// worst-case percentiles, the worst (smallest) speedup across scales, and
-// the mean warm-hit rate. P50MS/P99MS record the warm arm — that is the
-// steady-state restart cost users pay — while ColdP50MS keeps the cold
-// reference the speedup was computed against.
-func (a *Artifact) AddColdWarm(rows []ColdWarmResult) {
-	if len(rows) == 0 {
-		return
-	}
-	var m ArtifactMetrics
+// ColdWarmMetrics summarizes cold-warm: the warm arm's worst-case
+// percentiles (the restart cost users pay), the cold p50 the speedup was
+// computed against, the worst (smallest) speedup and the mean warm-hit rate.
+// Restart latencies are machine-dependent, so none of them is drift-gated;
+// the speedup is gated by the experiment's verdict.
+func ColdWarmMetrics(rows []ColdWarmResult) []Metric {
+	var p50, p99, cold, speedup, hit float64
 	for _, r := range rows {
-		m.P50MS = maxf(m.P50MS, r.WarmP50MS)
-		m.P99MS = maxf(m.P99MS, r.WarmP99MS)
-		m.ColdP50MS = maxf(m.ColdP50MS, r.ColdP50MS)
-		if m.SpeedupX == 0 || r.SpeedupX < m.SpeedupX {
-			m.SpeedupX = r.SpeedupX
+		p50, p99, cold = max(p50, r.WarmP50MS), max(p99, r.WarmP99MS), max(cold, r.ColdP50MS)
+		if speedup == 0 || r.SpeedupX < speedup {
+			speedup = r.SpeedupX
 		}
-		m.FragCacheHitPct += r.WarmHitPct / float64(len(rows))
+		hit += r.WarmHitPct / float64(len(rows))
 	}
-	a.Experiments["cold-warm"] = m
+	const e = "cold-warm"
+	return []Metric{
+		rec(e, "p50_ms", "ms", gateNone, p50),
+		rec(e, "p99_ms", "ms", gateNone, p99),
+		rec(e, "cold_p50_ms", "ms", gateNone, cold),
+		rec(e, "speedup_x", "x", gateNone, speedup),
+		rec(e, "frag_cache_hit_pct", "%", gateNone, hit),
+	}
 }
 
-// AddStorm folds the supervisor-storm rows into the artifact: worst-case
-// ticket latency percentiles across programs.
-func (a *Artifact) AddStorm(rows []StormResult) {
-	if len(rows) == 0 {
-		return
-	}
-	var m ArtifactMetrics
+// StormMetrics summarizes the supervisor storm: worst-case ticket latency
+// percentiles across programs.
+func StormMetrics(rows []StormResult) []Metric {
+	var p50, p99 float64
 	for _, r := range rows {
-		m.P50MS = maxf(m.P50MS, ms(r.P50.Microseconds()))
-		m.P99MS = maxf(m.P99MS, ms(r.P99.Microseconds()))
+		p50, p99 = max(p50, ms(r.P50.Microseconds())), max(p99, ms(r.P99.Microseconds()))
 	}
-	a.Experiments["storm"] = m
+	return []Metric{
+		rec("storm", "p50_ms", "ms", gateDriftMS, p50),
+		rec("storm", "p99_ms", "ms", gateDriftMS, p99),
+	}
 }
 
-// AddServeStorm folds the serve-storm summary into the artifact: the worst
-// healthy tenant's latency percentiles from the hostile arm (the number a
-// fleet operator lives with), plus the isolation ratio and drop count the
-// gate checks absolutely.
-func (a *Artifact) AddServeStorm(s *ServeStormSummary) {
-	if s == nil {
-		return
-	}
-	var m ArtifactMetrics
+// ServeStormMetrics summarizes serve-storm: the worst healthy tenant's
+// percentiles in the hostile arm (the number a fleet operator lives with),
+// the isolation ratio and the healthy drop count.
+func ServeStormMetrics(s *ServeStormSummary) []Metric {
+	var p50, p99 float64
 	for _, r := range s.Hostile {
-		m.P50MS = maxf(m.P50MS, durMS(r.P50))
-		m.P99MS = maxf(m.P99MS, durMS(r.P99))
+		p50, p99 = max(p50, durMS(r.P50)), max(p99, durMS(r.P99))
 	}
-	m.IsolationX = s.IsolationX
-	m.DroppedHealthy = s.DroppedHealthy
-	a.Experiments["serve-storm"] = m
+	const e = "serve-storm"
+	return []Metric{
+		rec(e, "p50_ms", "ms", gateDriftMS, p50),
+		rec(e, "p99_ms", "ms", gateDriftMS, p99),
+		rec(e, "isolation_x", "x", gateNone, s.IsolationX),
+		rec(e, "dropped_healthy", "count", gateNone, float64(s.DroppedHealthy)),
+	}
+}
+
+// ServeChaosMetrics summarizes serve-chaos: worst-arm commit latencies, the
+// failover window and the healthy drop count. The commit tail is dominated
+// by the injected stall plus the failover window, so it is not drift-gated.
+func ServeChaosMetrics(s *ServeChaosSummary) []Metric {
+	var p50, p99 float64
+	for _, arm := range s.Arms {
+		p50, p99 = max(p50, durMS(arm.P50)), max(p99, durMS(arm.P99))
+	}
+	const e = "serve-chaos"
+	return []Metric{
+		rec(e, "p50_ms", "ms", gateNone, p50),
+		rec(e, "p99_ms", "ms", gateNone, p99),
+		rec(e, "failover_p99_ms", "ms", gateNone, s.FailoverP99MS),
+		rec(e, "dropped_healthy", "count", gateNone, float64(s.DroppedHealthy)),
+	}
 }
 
 // WriteFile writes the artifact as indented JSON. The write is atomic
@@ -211,131 +238,42 @@ func LoadArtifact(path string) (*Artifact, error) {
 	if a.Schema != ArtifactSchema {
 		return nil, fmt.Errorf("bench: baseline artifact %s has schema %d, this binary speaks %d; re-record it with -bench-out", path, a.Schema, ArtifactSchema)
 	}
-	if len(a.Experiments) == 0 {
-		return nil, fmt.Errorf("bench: baseline artifact %s records no experiments; re-record it with -bench-out", path)
+	if len(a.Metrics) == 0 {
+		return nil, fmt.Errorf("bench: baseline artifact %s records no metrics; re-record it with -bench-out", path)
+	}
+	for _, m := range a.Metrics {
+		if _, ok := gateKinds[m.Gate]; !ok {
+			return nil, fmt.Errorf("bench: baseline artifact %s: %s has unknown gate %q", path, m.Name, m.Gate)
+		}
 	}
 	return a, nil
 }
 
 // CompareArtifacts checks cur against the committed reference ref and
-// returns human-readable regression descriptions (empty = pass).
-//
-// Latency and allocation metrics regress when they exceed the reference by
-// more than tolPct percent AND by more than floorMS milliseconds (floor
-// applies to latencies only; allocations use tolPct alone with a 64-object
-// absolute floor). The probe-toggle structural invariant — one compiled
-// function per single-probe toggle — is checked exactly: growing it means
-// the splice stopped working, regardless of how fast the machine is.
-// Experiments present in ref but missing from cur are regressions (the
-// trajectory must not silently lose coverage); new experiments in cur pass.
-// The verify-overhead experiment's OverheadPct is gated against the absolute
-// VerifyOverheadBudgetPct budget rather than drift from the reference: the
-// acceptance criterion is "verification costs at most 5% of p50", not
-// "verification costs what it used to". The cold-warm experiment's SpeedupX
-// is likewise gated against the absolute WarmSpeedupFloor.
-func CompareArtifacts(ref, cur *Artifact, tolPct, floorMS float64) []string {
+// returns human-readable regression descriptions (empty = pass). Every
+// reference record is judged by its gate kind; a record missing from cur is
+// a regression (the trajectory must not silently lose coverage), and
+// records new in cur pass. The recorded warm-start speedup must also clear
+// its floor outright: the artifact has to prove it on a quiet machine.
+func CompareArtifacts(ref, cur *Artifact) []string {
+	got := map[string]float64{}
+	for _, m := range cur.Metrics {
+		got[m.Name] = m.Value
+	}
 	var bad []string
-	worse := func(got, want, floor float64) bool {
-		return got > want*(1+tolPct/100) && got-want > floor
-	}
-	for name, r := range ref.Experiments {
-		c, ok := cur.Experiments[name]
+	for _, r := range ref.Metrics {
+		if r.Name == "cold-warm/speedup_x" {
+			if err := warmSpeedupVerdict(r.Value, 0); err != nil {
+				bad = append(bad, fmt.Sprintf("%s: recorded %v; re-record on a quiet machine or fix the regression", r.Name, err))
+			}
+		}
+		c, ok := got[r.Name]
 		if !ok {
-			bad = append(bad, fmt.Sprintf("%s: experiment missing from current run", name))
-			continue
-		}
-		// Ratio-gated experiments (cold-warm records SpeedupX) skip the raw
-		// latency drift bands: restart latencies are machine-dependent, and
-		// the cold/warm ratio — both arms measured on the same machine in
-		// the same run — is the jitter-immune invariant, gated absolutely
-		// below. serve-chaos (records FailoverP99MS) likewise: its commit
-		// tail is dominated by the injected stall plus the failover window,
-		// both gated absolutely, so drift bands would only add noise.
-		if r.SpeedupX == 0 && r.FailoverP99MS == 0 {
-			if worse(c.P99MS, r.P99MS, floorMS) {
-				bad = append(bad, fmt.Sprintf("%s: p99 %.3fms exceeds recorded %.3fms by >%g%% (+%.1fms floor)",
-					name, c.P99MS, r.P99MS, tolPct, floorMS))
-			}
-			if worse(c.P50MS, r.P50MS, floorMS) {
-				bad = append(bad, fmt.Sprintf("%s: p50 %.3fms exceeds recorded %.3fms by >%g%% (+%.1fms floor)",
-					name, c.P50MS, r.P50MS, tolPct, floorMS))
-			}
-		}
-		if r.AllocsPerOp > 0 && worse(c.AllocsPerOp, r.AllocsPerOp, 64) {
-			bad = append(bad, fmt.Sprintf("%s: allocs/op %.0f exceeds recorded %.0f by >%g%%",
-				name, c.AllocsPerOp, r.AllocsPerOp, tolPct))
-		}
-		if r.FuncsCompiledPerToggle > 0 && c.FuncsCompiledPerToggle > r.FuncsCompiledPerToggle+0.01 {
-			bad = append(bad, fmt.Sprintf("%s: funcs compiled per toggle %.2f > recorded %.2f (splice broke)",
-				name, c.FuncsCompiledPerToggle, r.FuncsCompiledPerToggle))
-		}
-		if r.FuncCacheHitPct > 0 && c.FuncCacheHitPct < r.FuncCacheHitPct-1 {
-			bad = append(bad, fmt.Sprintf("%s: function cache hit rate %.1f%% below recorded %.1f%%",
-				name, c.FuncCacheHitPct, r.FuncCacheHitPct))
-		}
-	}
-	for name, c := range cur.Experiments {
-		if c.OverheadPct > VerifyOverheadBudgetPct {
-			bad = append(bad, fmt.Sprintf("%s: verification overhead %.1f%% exceeds the %.0f%% budget",
-				name, c.OverheadPct, VerifyOverheadBudgetPct))
-		}
-		// The warm-start floor is absolute for the recorded trajectory (the
-		// artifact must prove >=5x on a quiet machine); the live re-measure
-		// gets the same jitter tolerance as the latency gates — a loaded CI
-		// box squeezing 5.4x to 4.9x is noise, a drop to 2x is a regression.
-		if c.SpeedupX > 0 && c.SpeedupX*(1+tolPct/100) < WarmSpeedupFloor {
-			bad = append(bad, fmt.Sprintf("%s: warm-start speedup %.1fx below the %.0fx floor (beyond %g%% tolerance)",
-				name, c.SpeedupX, WarmSpeedupFloor, tolPct))
-		}
-		// Tenant isolation is gated absolutely too: hostile-arm healthy p99
-		// within ServeIsolationFactor of baseline (with the usual jitter
-		// tolerance), and not one healthy ticket dropped — a drop means the
-		// admission ladder leaked hostile pressure onto a healthy tenant.
-		if c.IsolationX > 0 && c.IsolationX > ServeIsolationFactor*(1+tolPct/100) {
-			bad = append(bad, fmt.Sprintf("%s: hostile-tenant isolation %.2fx exceeds the %.1fx bound (beyond %g%% tolerance)",
-				name, c.IsolationX, ServeIsolationFactor, tolPct))
-		}
-		if c.DroppedHealthy > 0 {
-			bad = append(bad, fmt.Sprintf("%s: %d healthy tickets dropped under hostile load (must be 0)",
-				name, c.DroppedHealthy))
-		}
-		// Failover windows are gated absolutely: a shard kill or wedge must
-		// resolve — watchdog detection, drain, warm reboot or spare
-		// promotion, parked-request re-admission — inside the budget.
-		if c.FailoverP99MS > ChaosFailoverBudgetMS {
-			bad = append(bad, fmt.Sprintf("%s: failover p99 %.0fms exceeds the %dms budget",
-				name, c.FailoverP99MS, ChaosFailoverBudgetMS))
-		}
-	}
-	for name, r := range ref.Experiments {
-		if r.SpeedupX > 0 && r.SpeedupX < WarmSpeedupFloor {
-			bad = append(bad, fmt.Sprintf("%s: recorded warm-start speedup %.1fx below the %.0fx floor; re-record on a quiet machine or fix the regression",
-				name, r.SpeedupX, WarmSpeedupFloor))
+			bad = append(bad, fmt.Sprintf("%s: missing from current run", r.Name))
+		} else if g := gateKinds[r.Gate]; g.regressed(r.Value, c) {
+			bad = append(bad, fmt.Sprintf("%s: %.3f%s vs recorded %.3f%s (gate %s: worse by >%g%% and >%g)",
+				r.Name, c, r.Unit, r.Value, r.Unit, r.Gate, g.tolPct, g.slack))
 		}
 	}
 	return bad
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func percentileF(xs []float64, p int) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	for i := 1; i < len(s); i++ { // insertion sort; tiny inputs
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-	i := len(s) * p / 100
-	if i >= len(s) {
-		i = len(s) - 1
-	}
-	return s[i]
 }

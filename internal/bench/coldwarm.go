@@ -15,10 +15,22 @@ import (
 // WarmSpeedupFloor is the cold-vs-warm experiment's acceptance floor: a
 // warm start (engine constructed over a populated artifact cache and state
 // snapshot, through its first full build) must be at least this many times
-// faster at p50 than the same cold start. CI gates the recorded artifact
-// against it absolutely — a warm start that stops paying for itself is a
-// persistence regression regardless of drift bands.
+// faster at p50 than the same cold start. The recorded artifact must clear
+// it outright; a live run gets warmSpeedupLiveTolPct of jitter tolerance —
+// a loaded CI box squeezing 5.4x to 4.9x is noise, a drop to 2x is a
+// persistence regression.
 const WarmSpeedupFloor = 5.0
+
+const warmSpeedupLiveTolPct = 15.0
+
+// warmSpeedupVerdict gates one speedup against WarmSpeedupFloor with tolPct
+// percent of tolerance.
+func warmSpeedupVerdict(x, tolPct float64) error {
+	if x*(1+tolPct/100) < WarmSpeedupFloor {
+		return fmt.Errorf("warm-start speedup %.1fx below the %.0fx floor (beyond %g%% tolerance)", x, WarmSpeedupFloor, tolPct)
+	}
+	return nil
+}
 
 // ColdWarmResult is one workload's row of the cold-vs-warm experiment: the
 // engine-restart-to-first-executable window (core.New through BuildAll), with
@@ -243,25 +255,31 @@ func runColdWarmOne(groups, funcsPerGroup, rounds int, baseDir, snapBase string)
 	return res, nil
 }
 
-// PrintColdWarm renders the cold-vs-warm table.
-func PrintColdWarm(w io.Writer, rows []ColdWarmResult) {
+// PrintColdWarm renders the cold-vs-warm table and returns its verdict:
+// every warm image byte-identical to its cold reference, and every speedup
+// clearing WarmSpeedupFloor within the live tolerance.
+func PrintColdWarm(w io.Writer, rows []ColdWarmResult) error {
 	fmt.Fprintf(w, "Cold vs warm start — engine restart to first executable, empty vs populated artifact cache + snapshot\n")
 	fmt.Fprintf(w, "%-18s %7s %9s %9s %9s %9s %9s %7s %5s\n",
 		"program", "rounds", "cold-p50", "cold-p99", "warm-p50", "warm-p99", "speedup", "hit%", "ref")
 	bad := 0
+	var slow error
 	for _, r := range rows {
 		ok := "ok"
 		if !r.RefMatch {
 			ok = "FAIL"
 			bad++
 		}
+		if err := warmSpeedupVerdict(r.SpeedupX, warmSpeedupLiveTolPct); err != nil && slow == nil {
+			slow = fmt.Errorf("%s: %w", r.Program, err)
+		}
 		fmt.Fprintf(w, "%-18s %7d %8.3f %9.3f %9.3f %9.3f %8.1fx %6.1f%% %5s\n",
 			r.Program, r.Rounds, r.ColdP50MS, r.ColdP99MS, r.WarmP50MS, r.WarmP99MS,
 			r.SpeedupX, r.WarmHitPct, ok)
 	}
-	if bad == 0 {
-		fmt.Fprintf(w, "PASS: every warm image is byte-identical to its cold reference\n")
-	} else {
-		fmt.Fprintf(w, "FAIL: %d workloads diverged from the cold reference\n", bad)
+	err := divergedErr(bad)
+	if err == nil {
+		err = slow
 	}
+	return verdict(w, err, "every warm image is byte-identical to its cold reference")
 }

@@ -296,8 +296,9 @@ func runPersistFaultsOne(pd *ProgramData, kind faultinject.Kind, rate float64, s
 	return nil
 }
 
-// PrintPersistFaults renders the persistence restart sweep table.
-func PrintPersistFaults(w io.Writer, rows []PersistFaultRow) {
+// PrintPersistFaults renders the persistence restart sweep table and returns
+// its verdict: no build error and no image divergence under persist faults.
+func PrintPersistFaults(w io.Writer, rows []PersistFaultRow) error {
 	fmt.Fprintf(w, "Persistence fault sweep — engine restarts onto a seeded cache with faults armed at persist:* sites\n")
 	fmt.Fprintf(w, "%-6s %5s %9s %9s %9s %10s %9s\n",
 		"kind", "rate", "restarts", "injected", "warmhits", "builderr", "mismatch")
@@ -307,11 +308,11 @@ func PrintPersistFaults(w io.Writer, rows []PersistFaultRow) {
 			r.Kind, r.Rate, r.Restarts, r.Injected, r.WarmHits, r.BuildErrors, r.ImageMismatch)
 		violations += r.Violations()
 	}
-	if violations == 0 {
-		fmt.Fprintf(w, "PASS: every restart served a byte-identical image; persistence failures never surfaced\n")
-	} else {
-		fmt.Fprintf(w, "FAIL: %d invariant violations (build errors or image divergence under persist faults)\n", violations)
+	var err error
+	if violations > 0 {
+		err = fmt.Errorf("%d invariant violations (build errors or image divergence under persist faults)", violations)
 	}
+	return verdict(w, err, "every restart served a byte-identical image; persistence failures never surfaced")
 }
 
 // PrintFaults renders the robustness sweep table.

@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"odin/internal/core"
@@ -167,3 +169,28 @@ func PrintHeadline(w io.Writer, h *HeadlineResult) {
 }
 
 func ms(us int64) float64 { return float64(us) / 1000.0 }
+
+// percentile returns the p-th percentile of xs by the rank rule
+// s[len(s)*p/100] over a sorted copy, clamped to the last element (so p=100
+// is the maximum). xs is not modified.
+func percentile[T cmp.Ordered](xs []T, p int) T {
+	if len(xs) == 0 {
+		var zero T
+		return zero
+	}
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	return s[min(len(s)*p/100, len(s)-1)]
+}
+
+// verdict prints an experiment's closing line — "PASS: pass" when err is
+// nil, "FAIL: err" otherwise — and returns err, so the printed verdict and
+// the exit status can never disagree.
+func verdict(w io.Writer, err error, pass string) error {
+	if err != nil {
+		fmt.Fprintf(w, "FAIL: %v\n", err)
+	} else {
+		fmt.Fprintf(w, "PASS: %s\n", pass)
+	}
+	return err
+}

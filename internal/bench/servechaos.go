@@ -2,9 +2,9 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -110,7 +110,7 @@ func RunServeChaos(program string, healthy, perTenant int) (*ServeChaosSummary, 
 	sum.Wall = time.Since(t0)
 	for _, a := range sum.Arms {
 		sum.DroppedHealthy += a.Dropped
-		sum.FailoverP99MS = maxf(sum.FailoverP99MS, a.FailoverMS)
+		sum.FailoverP99MS = max(sum.FailoverP99MS, a.FailoverMS)
 	}
 	return sum, nil
 }
@@ -272,15 +272,11 @@ func runChaosArm(program string, healthy, perTenant int, withReplica bool) (*Ser
 		arm.Retries += rows[i].retries
 		lats = append(lats, rows[i].lats...)
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	if n := len(lats); n > 0 {
-		arm.P50 = lats[n/2]
-		arm.P99 = lats[n*99/100]
-	}
+	arm.P50, arm.P99 = percentile(lats, 50), percentile(lats, 99)
 	evs := srv.ShardFailovers("s0")
 	for _, ev := range evs {
 		arm.FailoverKind = ev.Kind
-		arm.FailoverMS = maxf(arm.FailoverMS, ev.DurationMS)
+		arm.FailoverMS = max(arm.FailoverMS, ev.DurationMS)
 	}
 	snap := srv.Fleet()
 	arm.Restarts = snap.Shards[0].Restarts
@@ -308,24 +304,10 @@ func waitChaos(d time.Duration, cond func() bool) error {
 	return fmt.Errorf("timeout")
 }
 
-// AddServeChaos folds the chaos summary into the artifact: worst-arm commit
-// latencies, the failover window, and the absolute drop count.
-func (a *Artifact) AddServeChaos(s *ServeChaosSummary) {
-	if s == nil {
-		return
-	}
-	var m ArtifactMetrics
-	for _, arm := range s.Arms {
-		m.P50MS = maxf(m.P50MS, durMS(arm.P50))
-		m.P99MS = maxf(m.P99MS, durMS(arm.P99))
-	}
-	m.FailoverP99MS = s.FailoverP99MS
-	m.DroppedHealthy = s.DroppedHealthy
-	a.Experiments["serve-chaos"] = m
-}
-
-// PrintServeChaos renders both arms and the chaos verdict.
-func PrintServeChaos(w io.Writer, s *ServeChaosSummary) {
+// PrintServeChaos renders both arms and returns the chaos verdict: no
+// healthy commit dropped and the worst failover window within
+// ChaosFailoverBudgetMS.
+func PrintServeChaos(w io.Writer, s *ServeChaosSummary) error {
 	fmt.Fprintf(w, "Serve chaos — shard kill/wedge mid-storm, self-healing recovery (%s, %d tenants x %d commits)\n",
 		s.Program, s.HealthyTenants, s.RequestsPerTenant)
 	fmt.Fprintf(w, "%-10s %8s %9s %7s %7s %9s %9s  %-9s %10s %8s %10s\n",
@@ -336,10 +318,11 @@ func PrintServeChaos(w io.Writer, s *ServeChaosSummary) {
 			a.P50.Round(10*time.Microsecond), a.P99.Round(10*time.Microsecond),
 			a.FailoverKind, a.FailoverMS, a.Restarts, a.Promotions)
 	}
-	verdict := "PASS"
+	line := fmt.Sprintf("%d healthy commits dropped (must be 0), worst failover %.0fms (budget %dms)",
+		s.DroppedHealthy, s.FailoverP99MS, ChaosFailoverBudgetMS)
+	var err error
 	if s.DroppedHealthy > 0 || s.FailoverP99MS > ChaosFailoverBudgetMS {
-		verdict = "FAIL"
+		err = errors.New(line)
 	}
-	fmt.Fprintf(w, "%s: %d healthy commits dropped (must be 0), worst failover %.0fms (budget %dms)\n",
-		verdict, s.DroppedHealthy, s.FailoverP99MS, ChaosFailoverBudgetMS)
+	return verdict(w, err, line)
 }

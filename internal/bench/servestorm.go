@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
 
@@ -111,13 +110,13 @@ func RunServeStorm(programs []string, healthy, perTenant int) (*ServeStormSummar
 	sum.Wall = time.Since(t0)
 
 	for _, r := range sum.Baseline {
-		sum.HealthyBaselineP99MS = maxf(sum.HealthyBaselineP99MS, durMS(r.P99))
+		sum.HealthyBaselineP99MS = max(sum.HealthyBaselineP99MS, durMS(r.P99))
 	}
 	for _, r := range sum.Hostile {
-		sum.HealthyHostileP99MS = maxf(sum.HealthyHostileP99MS, durMS(r.P99))
+		sum.HealthyHostileP99MS = max(sum.HealthyHostileP99MS, durMS(r.P99))
 		sum.DroppedHealthy += r.Dropped
 	}
-	sum.IsolationX = sum.HealthyHostileP99MS / maxf(sum.HealthyBaselineP99MS, serveNoiseFloorMS)
+	sum.IsolationX = sum.HealthyHostileP99MS / max(sum.HealthyBaselineP99MS, serveNoiseFloorMS)
 	return sum, nil
 }
 
@@ -248,12 +247,7 @@ func runServeArm(programs []string, healthy, perTenant int, hostile bool) ([]Ser
 					return
 				}
 			}
-			sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-			if n := len(lats); n > 0 {
-				r.P50 = lats[n/2]
-				r.P99 = lats[n*99/100]
-				r.Max = lats[n-1]
-			}
+			r.P50, r.P99, r.Max = percentile(lats, 50), percentile(lats, 99), percentile(lats, 100)
 		}()
 	}
 	wg.Wait()
@@ -306,9 +300,10 @@ func isRetryable(err error) bool {
 
 func durMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// PrintServeStorm renders both arms' per-tenant tables and the isolation
-// verdict.
-func PrintServeStorm(w io.Writer, s *ServeStormSummary) {
+// PrintServeStorm renders both arms' per-tenant tables and returns the
+// isolation verdict: no healthy ticket dropped and IsolationX at or under
+// ServeIsolationFactor.
+func PrintServeStorm(w io.Writer, s *ServeStormSummary) error {
 	fmt.Fprintf(w, "Serve storm — multi-tenant probe traffic against a 2-shard control plane (%s, %s)\n",
 		s.Programs[0], s.Programs[1])
 	fmt.Fprintf(w, "%-10s %-9s %-6s %8s %9s %7s %7s %9s %9s %9s\n",
@@ -327,11 +322,11 @@ func PrintServeStorm(w io.Writer, s *ServeStormSummary) {
 	}
 	fmt.Fprintf(w, "hostile tenant: %d poison requests, %d shed by admission\n",
 		s.HostileRequests, s.HostileShed)
-	verdict := "PASS"
+	line := fmt.Sprintf("healthy p99 %.3fms hostile vs %.3fms baseline — isolation %.2fx (gate %.1fx), %d healthy dropped",
+		s.HealthyHostileP99MS, s.HealthyBaselineP99MS, s.IsolationX, ServeIsolationFactor, s.DroppedHealthy)
+	var err error
 	if s.IsolationX > ServeIsolationFactor || s.DroppedHealthy > 0 {
-		verdict = "FAIL"
+		err = errors.New(line)
 	}
-	fmt.Fprintf(w, "%s: healthy p99 %.3fms hostile vs %.3fms baseline — isolation %.2fx (gate %.1fx), %d healthy dropped\n",
-		verdict, s.HealthyHostileP99MS, s.HealthyBaselineP99MS, s.IsolationX,
-		ServeIsolationFactor, s.DroppedHealthy)
+	return verdict(w, err, line)
 }

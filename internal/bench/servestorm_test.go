@@ -47,10 +47,8 @@ func TestRunServeStorm(t *testing.T) {
 	}
 
 	// The summary must feed the artifact gate.
-	art := NewArtifact()
-	art.AddServeStorm(sum)
-	if _, ok := art.Experiments["serve-storm"]; !ok {
-		t.Error("AddServeStorm did not record a serve-storm experiment")
+	if ms := ServeStormMetrics(sum); len(ms) == 0 || !strings.HasPrefix(ms[0].Name, "serve-storm/") {
+		t.Errorf("ServeStormMetrics recorded no serve-storm metrics: %+v", ms)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
 
@@ -203,12 +202,7 @@ func runStormOne(pd *ProgramData, goroutines, perG int, seed uint64) (StormResul
 	res.Generations = st.Generations
 	res.CoalescingRatio = st.CoalescingRatio
 	res.FinalActive = e.Manager.NumActive()
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	if n := len(lats); n > 0 {
-		res.P50 = lats[n/2]
-		res.P99 = lats[n*99/100]
-		res.Max = lats[n-1]
-	}
+	res.P50, res.P99, res.Max = percentile(lats, 50), percentile(lats, 99), percentile(lats, 100)
 
 	// Verify: the final image must replay the corpus exactly like a serial
 	// reference engine built with the same final probe set.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"odin/internal/progen"
 )
 
 // TestRunStorm runs a small storm on the prepared suite and checks the
@@ -11,11 +13,11 @@ import (
 // reference, every ticket resolved (latency sample count == requests), and
 // concurrent toggles coalesced into fewer rebuild generations.
 func TestRunStorm(t *testing.T) {
-	progs, err := PrepareSuite(20)
+	pd, err := Prepare(progen.Suite()[0], 20) // one program keeps the test quick; cmd sweeps all
 	if err != nil {
 		t.Fatal(err)
 	}
-	progs = progs[:1] // one program keeps the test quick; cmd sweeps all
+	progs := []*ProgramData{pd}
 
 	rows, err := RunStorm(progs, 4, 12, 7)
 	if err != nil {

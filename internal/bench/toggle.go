@@ -5,7 +5,6 @@ import (
 	"io"
 	"reflect"
 	"runtime"
-	"sort"
 	"strings"
 	"time"
 
@@ -196,17 +195,58 @@ func toggleArm(e *core.Engine, target string, rounds int) (lats []time.Duration,
 	return
 }
 
-func percentile(lats []time.Duration, p int) time.Duration {
-	if len(lats) == 0 {
-		return 0
+// toggleEngine builds a fully compiled single-worker engine over the
+// toggle workload; o carries the arm's distinguishing options.
+func toggleEngine(name, src string, o core.Options) (*core.Engine, error) {
+	mm, err := irtext.Parse(name, src)
+	if err != nil {
+		return nil, err
 	}
-	s := append([]time.Duration(nil), lats...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	i := len(s) * p / 100
-	if i >= len(s) {
-		i = len(s) - 1
+	o.Workers, o.Telemetry, o.ExtraBuiltins = 1, Telemetry, []string{"__toggle_hit"}
+	e, err := core.New(mm, o)
+	if err != nil {
+		return nil, err
 	}
-	return s[i]
+	if _, _, err := e.BuildAll(); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// measureToggle runs a discarded warm-up pass (first-touch costs: lazy
+// pools, linker state) and two measured passes of toggleArm, keeping the
+// pass with the lower p99 and the lower allocation rate — percentiles over
+// <=100 samples are effectively the max, so one GC pause or scheduler
+// hiccup would otherwise dominate the recorded trajectory and flake the CI
+// regression gate. The structural counters cover both measured passes.
+func measureToggle(e *core.Engine, target string, rounds int) (lats []time.Duration, allocs float64, agg core.RebuildStats, err error) {
+	if _, _, _, err = toggleArm(e, target, rounds); err != nil {
+		return
+	}
+	l1, a1, g1, err1 := toggleArm(e, target, rounds)
+	if err1 != nil {
+		err = err1
+		return
+	}
+	l2, a2, g2, err2 := toggleArm(e, target, rounds)
+	if err2 != nil {
+		err = err2
+		return
+	}
+	lats, allocs, agg = l1, a1, g1
+	if percentile(l2, 99) < percentile(l1, 99) {
+		lats = l2
+	}
+	if a2 < a1 {
+		allocs = a2
+	}
+	agg.CacheHits += g2.CacheHits
+	agg.FuncCacheHits += g2.FuncCacheHits
+	agg.FuncsCompiled += g2.FuncsCompiled
+	agg.Spliced += g2.Spliced
+	agg.SpliceFallbacks += g2.SpliceFallbacks
+	agg.Fragments = append(agg.Fragments, g2.Fragments...)
+	return
 }
 
 func runToggleOne(groups, funcsPerGroup, rounds int) (*ToggleResult, error) {
@@ -214,75 +254,19 @@ func runToggleOne(groups, funcsPerGroup, rounds int) (*ToggleResult, error) {
 	name := fmt.Sprintf("toggle-g%dx%d", groups, funcsPerGroup)
 	target := "t0_2" // independent member of group 0: dirty set is exactly it
 
-	mk := func(noFuncCache bool) (*core.Engine, error) {
-		mm, err := irtext.Parse(name, src)
-		if err != nil {
-			return nil, err
-		}
-		e, err := core.New(mm, core.Options{
-			Workers:       1,
-			NoFuncCache:   noFuncCache,
-			Telemetry:     Telemetry,
-			ExtraBuiltins: []string{"__toggle_hit"},
-		})
-		if err != nil {
-			return nil, err
-		}
-		if _, _, err := e.BuildAll(); err != nil {
-			return nil, err
-		}
-		return e, nil
-	}
-
-	// Each arm runs a discarded warm-up pass (first-touch costs: lazy pools,
-	// linker state) and two measured passes, keeping the pass with the lower
-	// p99 — percentiles over <=100 samples are effectively the max, so one
-	// GC pause or scheduler hiccup would otherwise dominate the recorded
-	// trajectory and flake the CI regression gate.
-	measure := func(e *core.Engine) (lats []time.Duration, allocs float64, agg core.RebuildStats, err error) {
-		if _, _, _, err = toggleArm(e, target, rounds); err != nil {
-			return
-		}
-		l1, a1, g1, err1 := toggleArm(e, target, rounds)
-		if err1 != nil {
-			err = err1
-			return
-		}
-		l2, a2, g2, err2 := toggleArm(e, target, rounds)
-		if err2 != nil {
-			err = err2
-			return
-		}
-		lats, allocs, agg = l1, a1, g1
-		if percentile(l2, 99) < percentile(l1, 99) {
-			lats = l2
-		}
-		if a2 < a1 {
-			allocs = a2
-		}
-		// Structural counters cover both measured passes.
-		agg.CacheHits += g2.CacheHits
-		agg.FuncCacheHits += g2.FuncCacheHits
-		agg.FuncsCompiled += g2.FuncsCompiled
-		agg.Spliced += g2.Spliced
-		agg.SpliceFallbacks += g2.SpliceFallbacks
-		agg.Fragments = append(agg.Fragments, g2.Fragments...)
-		return
-	}
-
-	spliced, err := mk(false)
+	spliced, err := toggleEngine(name, src, core.Options{})
 	if err != nil {
 		return nil, err
 	}
-	lats, allocs, agg, err := measure(spliced)
+	lats, allocs, agg, err := measureToggle(spliced, target, rounds)
 	if err != nil {
 		return nil, err
 	}
-	base, err := mk(true)
+	base, err := toggleEngine(name, src, core.Options{NoFuncCache: true})
 	if err != nil {
 		return nil, err
 	}
-	blats, ballocs, _, err := measure(base)
+	blats, ballocs, _, err := measureToggle(base, target, rounds)
 	if err != nil {
 		return nil, err
 	}
@@ -334,8 +318,9 @@ func runToggleOne(groups, funcsPerGroup, rounds int) (*ToggleResult, error) {
 	return res, nil
 }
 
-// PrintToggle renders the probe-toggle table.
-func PrintToggle(w io.Writer, rows []ToggleResult) {
+// PrintToggle renders the probe-toggle table and returns its verdict: every
+// spliced image must be byte-identical to its cold reference.
+func PrintToggle(w io.Writer, rows []ToggleResult) error {
 	fmt.Fprintf(w, "Probe toggle — single-probe rebuild latency in a multi-function fragment (spliced vs whole-fragment)\n")
 	fmt.Fprintf(w, "%-15s %7s %8s %8s %9s %9s %7s %7s %9s %9s %5s\n",
 		"program", "rounds", "p50", "p99", "base-p50", "base-p99", "funcs", "hit%", "allocs", "base-al", "ref")
@@ -350,9 +335,14 @@ func PrintToggle(w io.Writer, rows []ToggleResult) {
 			r.Program, r.Rounds, r.P50MS, r.P99MS, r.BaseP50MS, r.BaseP99MS,
 			r.FuncsCompiledPerToggle, r.FuncCacheHitPct, r.AllocsPerToggle, r.BaseAllocsPerToggle, ok)
 	}
+	return verdict(w, divergedErr(bad), "every spliced image is byte-identical to its cold reference")
+}
+
+// divergedErr is the reference-match verdict shared by the experiments that
+// replay against a cold build.
+func divergedErr(bad int) error {
 	if bad == 0 {
-		fmt.Fprintf(w, "PASS: every spliced image is byte-identical to its cold reference\n")
-	} else {
-		fmt.Fprintf(w, "FAIL: %d workloads diverged from the cold reference\n", bad)
+		return nil
 	}
+	return fmt.Errorf("%d workloads diverged from the cold reference", bad)
 }

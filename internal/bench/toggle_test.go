@@ -1,8 +1,9 @@
 package bench
 
 import (
-	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -38,21 +39,23 @@ func TestRunToggleShape(t *testing.T) {
 	}
 }
 
-// TestArtifactRoundTrip: AddToggle + WriteFile + LoadArtifact preserve the
-// recorded metrics.
+// TestArtifactRoundTrip: ToggleMetrics + WriteFile + LoadArtifact preserve
+// the recorded metrics.
 func TestArtifactRoundTrip(t *testing.T) {
 	rows := []ToggleResult{
 		{Program: "a", P50MS: 1, P99MS: 4, BaseP99MS: 9, FuncCacheHitPct: 80, AllocsPerToggle: 200, FuncsCompiledPerToggle: 1},
 		{Program: "b", P50MS: 2, P99MS: 3, BaseP99MS: 7, FuncCacheHitPct: 90, AllocsPerToggle: 300, FuncsCompiledPerToggle: 1},
 	}
-	a := NewArtifact()
-	a.AddToggle(rows)
-	m := a.Experiments["probe-toggle"]
-	if m.P99MS != 4 || m.P50MS != 2 || m.AllocsPerOp != 300 || m.BaselineP99MS != 9 {
-		t.Fatalf("aggregation wrong: %+v", m)
+	a := NewArtifact(ToggleMetrics(rows))
+	want := map[string]float64{
+		"probe-toggle/p99_ms": 4, "probe-toggle/p50_ms": 2, "probe-toggle/allocs_per_op": 300,
+		"probe-toggle/baseline_p99_ms": 9, "probe-toggle/func_cache_hit_pct": 85,
+		"probe-toggle/funcs_compiled_per_toggle": 1,
 	}
-	if m.FuncCacheHitPct != 85 {
-		t.Fatalf("hit rate mean = %v, want 85", m.FuncCacheHitPct)
+	for _, m := range a.Metrics {
+		if v, ok := want[m.Name]; ok && m.Value != v {
+			t.Errorf("%s = %v, want %v", m.Name, m.Value, v)
+		}
 	}
 	path := filepath.Join(t.TempDir(), "BENCH_t.json")
 	if err := a.WriteFile(path); err != nil {
@@ -62,30 +65,28 @@ func TestArtifactRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Schema != ArtifactSchema || got.Experiments["probe-toggle"] != m {
+	if got.Schema != ArtifactSchema || !reflect.DeepEqual(got.Metrics, a.Metrics) {
 		t.Fatalf("round trip lost data: %+v", got)
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatal(err)
 	}
 }
 
 // TestCompareArtifacts exercises the regression gate's decision table.
 func TestCompareArtifacts(t *testing.T) {
-	ref := NewArtifact()
-	ref.Experiments["probe-toggle"] = ArtifactMetrics{
-		P50MS: 5, P99MS: 10, FuncCacheHitPct: 85, AllocsPerOp: 500, FuncsCompiledPerToggle: 1,
-	}
-	mk := func(mut func(*ArtifactMetrics)) *Artifact {
-		cur := NewArtifact()
-		m := ref.Experiments["probe-toggle"]
-		mut(&m)
-		cur.Experiments["probe-toggle"] = m
+	ref := NewArtifact(ToggleMetrics([]ToggleResult{{
+		P50MS: 5, P99MS: 10, FuncCacheHitPct: 85, AllocsPerToggle: 500, FuncsCompiledPerToggle: 1,
+	}}))
+	mk := func(name string, v float64) *Artifact {
+		cur := NewArtifact(slices.Clone(ref.Metrics))
+		for i := range cur.Metrics {
+			if cur.Metrics[i].Name == name {
+				cur.Metrics[i].Value = v
+			}
+		}
 		return cur
 	}
-	check := func(name string, cur *Artifact, wantSubstr string) {
+	check := func(name string, ref, cur *Artifact, wantSubstr string) {
 		t.Helper()
-		bad := CompareArtifacts(ref, cur, 15, 2)
+		bad := CompareArtifacts(ref, cur)
 		if wantSubstr == "" {
 			if len(bad) != 0 {
 				t.Fatalf("%s: unexpected regressions: %v", name, bad)
@@ -106,25 +107,21 @@ func TestCompareArtifacts(t *testing.T) {
 		}
 	}
 
-	check("identical", mk(func(m *ArtifactMetrics) {}), "")
+	check("identical", ref, mk("", 0), "")
 	// Within tolerance: +10% on p99.
-	check("small drift", mk(func(m *ArtifactMetrics) { m.P99MS = 11 }), "")
-	// Over tolerance but under the 2ms floor: 0.5ms -> 0.6ms equivalents.
-	small := NewArtifact()
-	small.Experiments["probe-toggle"] = ArtifactMetrics{P99MS: 0.5}
-	smallCur := NewArtifact()
-	smallCur.Experiments["probe-toggle"] = ArtifactMetrics{P99MS: 1.2}
-	if bad := CompareArtifacts(small, smallCur, 15, 2); len(bad) != 0 {
-		t.Fatalf("sub-floor jitter flagged: %v", bad)
-	}
+	check("small drift", ref, mk("probe-toggle/p99_ms", 11), "")
+	// Over tolerance but under the 2ms slack: 0.5ms -> 1.2ms.
+	small := NewArtifact([]Metric{rec("probe-toggle", "p99_ms", "ms", gateDriftMS, 0.5)})
+	smallCur := NewArtifact([]Metric{rec("probe-toggle", "p99_ms", "ms", gateDriftMS, 1.2)})
+	check("sub-slack jitter", small, smallCur, "")
 	// Real p99 regression: +50% and +5ms.
-	check("p99 regression", mk(func(m *ArtifactMetrics) { m.P99MS = 15 }), "p99")
+	check("p99 regression", ref, mk("probe-toggle/p99_ms", 15), "probe-toggle/p99_ms")
 	// Allocation blow-up.
-	check("alloc regression", mk(func(m *ArtifactMetrics) { m.AllocsPerOp = 1200 }), "allocs/op")
+	check("alloc regression", ref, mk("probe-toggle/allocs_per_op", 1200), "probe-toggle/allocs_per_op")
 	// Structural: splice stopped working.
-	check("splice broke", mk(func(m *ArtifactMetrics) { m.FuncsCompiledPerToggle = 4 }), "splice broke")
+	check("splice broke", ref, mk("probe-toggle/funcs_compiled_per_toggle", 4), "probe-toggle/funcs_compiled_per_toggle")
 	// Hit-rate collapse.
-	check("hit rate", mk(func(m *ArtifactMetrics) { m.FuncCacheHitPct = 60 }), "hit rate")
+	check("hit rate", ref, mk("probe-toggle/func_cache_hit_pct", 60), "probe-toggle/func_cache_hit_pct")
 	// Missing experiment.
-	check("missing", NewArtifact(), "missing")
+	check("missing", ref, NewArtifact(nil), "missing")
 }

@@ -3,10 +3,8 @@ package bench
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"odin/internal/core"
-	"odin/internal/irtext"
 )
 
 // VerifyOverheadResult is one workload's row of the verify-overhead
@@ -65,61 +63,21 @@ func runVerifyOverheadOne(groups, funcsPerGroup, rounds int) (*VerifyOverheadRes
 	name := fmt.Sprintf("verify-g%dx%d", groups, funcsPerGroup)
 	target := "t0_2"
 
-	mk := func(mode core.VerifyMode) (*core.Engine, error) {
-		mm, err := irtext.Parse(name, src)
-		if err != nil {
-			return nil, err
-		}
-		e, err := core.New(mm, core.Options{
-			Workers:       1,
-			Verify:        mode,
-			Telemetry:     Telemetry,
-			ExtraBuiltins: []string{"__toggle_hit"},
-		})
-		if err != nil {
-			return nil, err
-		}
-		if _, _, err := e.BuildAll(); err != nil {
-			return nil, err
-		}
-		return e, nil
-	}
-
-	// Same pairing discipline as the probe-toggle experiment: a discarded
-	// warm-up pass, then two measured passes keeping the one with the lower
-	// p99, so a single GC pause cannot masquerade as verification overhead.
-	measure := func(e *core.Engine) (lats []time.Duration, err error) {
-		if _, _, _, err = toggleArm(e, target, rounds); err != nil {
-			return
-		}
-		l1, _, _, err1 := toggleArm(e, target, rounds)
-		if err1 != nil {
-			return nil, err1
-		}
-		l2, _, _, err2 := toggleArm(e, target, rounds)
-		if err2 != nil {
-			return nil, err2
-		}
-		lats = l1
-		if percentile(l2, 99) < percentile(l1, 99) {
-			lats = l2
-		}
-		return lats, nil
-	}
-
-	off, err := mk(core.VerifyOff)
+	// Same pairing discipline as the probe-toggle experiment, so a single
+	// GC pause cannot masquerade as verification overhead.
+	off, err := toggleEngine(name, src, core.Options{Verify: core.VerifyOff})
 	if err != nil {
 		return nil, err
 	}
-	offLats, err := measure(off)
+	offLats, _, _, err := measureToggle(off, target, rounds)
 	if err != nil {
 		return nil, err
 	}
-	bnd, err := mk(core.VerifyBoundaries)
+	bnd, err := toggleEngine(name, src, core.Options{Verify: core.VerifyBoundaries})
 	if err != nil {
 		return nil, err
 	}
-	bndLats, err := measure(bnd)
+	bndLats, _, _, err := measureToggle(bnd, target, rounds)
 	if err != nil {
 		return nil, err
 	}
@@ -141,8 +99,9 @@ func runVerifyOverheadOne(groups, funcsPerGroup, rounds int) (*VerifyOverheadRes
 	return res, nil
 }
 
-// PrintVerifyOverhead renders the verify-overhead table.
-func PrintVerifyOverhead(w io.Writer, rows []VerifyOverheadResult) {
+// PrintVerifyOverhead renders the verify-overhead table and returns its
+// verdict: every workload's overhead at or under VerifyOverheadBudgetPct.
+func PrintVerifyOverhead(w io.Writer, rows []VerifyOverheadResult) error {
 	fmt.Fprintf(w, "Verify overhead — boundaries-tier strict verification cost per probe-toggle rebuild (budget <=%.0f%% of p50)\n",
 		VerifyOverheadBudgetPct)
 	fmt.Fprintf(w, "%-15s %7s %9s %9s %9s %9s %9s %7s\n",
@@ -156,9 +115,9 @@ func PrintVerifyOverhead(w io.Writer, rows []VerifyOverheadResult) {
 			r.Program, r.Rounds, r.OffP50MS, r.OffP99MS, r.BoundaryP50MS, r.BoundaryP99MS,
 			r.OverheadPct, r.CacheHitPct)
 	}
-	if over == 0 {
-		fmt.Fprintf(w, "PASS: every workload within the %.0f%% verification budget\n", VerifyOverheadBudgetPct)
-	} else {
-		fmt.Fprintf(w, "FAIL: %d workloads exceed the %.0f%% verification budget\n", over, VerifyOverheadBudgetPct)
+	var err error
+	if over > 0 {
+		err = fmt.Errorf("%d workloads exceed the %.0f%% verification budget", over, VerifyOverheadBudgetPct)
 	}
+	return verdict(w, err, fmt.Sprintf("every workload within the %.0f%% verification budget", VerifyOverheadBudgetPct))
 }

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -29,43 +31,36 @@ func TestRunVerifyOverheadShape(t *testing.T) {
 	}
 }
 
-// TestVerifyOverheadArtifact pins the artifact fold and the absolute budget
-// gate: overhead_pct is compared against VerifyOverheadBudgetPct, not
-// against the reference's value.
+// TestVerifyOverheadArtifact pins the metric fold and the absolute budget
+// verdict: overhead is judged against VerifyOverheadBudgetPct when the
+// experiment runs, never against a reference's value, so the recorded
+// overhead_pct is gate none.
 func TestVerifyOverheadArtifact(t *testing.T) {
 	rows := []VerifyOverheadResult{
 		{Program: "a", BoundaryP50MS: 1, BoundaryP99MS: 2, OverheadPct: 1.5, CacheHitPct: 80},
 		{Program: "b", BoundaryP50MS: 3, BoundaryP99MS: 4, OverheadPct: 3.0, CacheHitPct: 90},
 	}
-	a := NewArtifact()
-	a.AddVerifyOverhead(rows)
-	m := a.Experiments["verify-overhead"]
-	if m.P50MS != 3 || m.P99MS != 4 || m.OverheadPct != 3.0 || m.FuncCacheHitPct != 85 {
-		t.Fatalf("aggregation wrong: %+v", m)
+	ms := VerifyOverheadMetrics(rows)
+	want := []Metric{
+		{"verify-overhead/p50_ms", "ms", 3, gateDriftMS},
+		{"verify-overhead/p99_ms", "ms", 4, gateDriftMS},
+		{"verify-overhead/overhead_pct", "%", 3.0, gateNone},
+		{"verify-overhead/func_cache_hit_pct", "%", 85, gateHitPct},
+	}
+	if !reflect.DeepEqual(ms, want) {
+		t.Fatalf("aggregation wrong: %+v", ms)
 	}
 
-	ref := NewArtifact()
-	ref.Experiments["verify-overhead"] = m
-	within := NewArtifact()
-	within.Experiments["verify-overhead"] = ArtifactMetrics{P50MS: 3, P99MS: 4, OverheadPct: 4.9, FuncCacheHitPct: 85}
-	if bad := CompareArtifacts(ref, within, 15, 2); len(bad) != 0 {
+	ref := NewArtifact(ms)
+	within := []VerifyOverheadResult{{Program: "a", BoundaryP50MS: 3, BoundaryP99MS: 4, OverheadPct: 4.9, CacheHitPct: 85}}
+	if err := PrintVerifyOverhead(io.Discard, within); err != nil {
+		t.Fatalf("overhead within budget failed: %v", err)
+	}
+	if bad := CompareArtifacts(ref, NewArtifact(VerifyOverheadMetrics(within))); len(bad) != 0 {
 		t.Fatalf("overhead within budget flagged: %v", bad)
 	}
-	over := NewArtifact()
-	over.Experiments["verify-overhead"] = ArtifactMetrics{P50MS: 3, P99MS: 4, OverheadPct: 7.5}
-	bad := CompareArtifacts(ref, over, 15, 2)
-	found := false
-	for _, b := range bad {
-		if strings.Contains(b, "budget") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("over-budget overhead not flagged: %v", bad)
-	}
-	// The budget applies to the current run even when the reference predates
-	// the experiment.
-	if bad := CompareArtifacts(NewArtifact(), over, 15, 2); len(bad) == 0 {
-		t.Fatal("over-budget overhead passed against an old reference")
+	over := []VerifyOverheadResult{{Program: "a", BoundaryP50MS: 3, BoundaryP99MS: 4, OverheadPct: 7.5}}
+	if err := PrintVerifyOverhead(io.Discard, over); err == nil || !strings.Contains(err.Error(), "budget") {
+		t.Fatalf("over-budget overhead not failed: %v", err)
 	}
 }

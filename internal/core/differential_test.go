@@ -137,8 +137,8 @@ func TestRecompileChurnPreservesSemantics(t *testing.T) {
 	}
 }
 
-// TestHistoryAccumulates: the engine records every rebuild for the
-// experiment harness.
+// TestHistoryAccumulates: the engine counts every rebuild and keeps the
+// newest one's statistics for introspection.
 func TestHistoryAccumulates(t *testing.T) {
 	m := progen.Demo().Generate()
 	eng, err := New(m, Options{})
@@ -148,10 +148,11 @@ func TestHistoryAccumulates(t *testing.T) {
 	if _, _, err := eng.BuildAll(); err != nil {
 		t.Fatal(err)
 	}
-	if len(eng.History) != 1 {
-		t.Fatalf("history = %d, want 1", len(eng.History))
+	snap := eng.Snapshot()
+	if snap.Rebuilds != 1 || snap.LastRebuild == nil {
+		t.Fatalf("rebuilds = %d, last %v; want 1 with stats", snap.Rebuilds, snap.LastRebuild)
 	}
-	st := eng.History[0]
+	st := *snap.LastRebuild
 	if len(st.Fragments) == 0 || st.Total <= 0 {
 		t.Fatalf("bad stats: %+v", st)
 	}

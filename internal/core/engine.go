@@ -324,9 +324,11 @@ type Engine struct {
 	supMu       sync.Mutex
 	restoredSup *persist.SupervisorState
 	supState    func() *persist.SupervisorState
-	// History accumulates rebuild statistics for the experiment harness.
-	// finish appends under mu so Snapshot can read it concurrently.
-	History []RebuildStats
+	// rebuilds counts committed rebuilds and lastRebuild keeps the newest
+	// one's statistics; the commit updates both under mu so Snapshot can
+	// read them concurrently.
+	rebuilds    int
+	lastRebuild RebuildStats
 }
 
 // New surveys and partitions the program, returning an engine whose cache is

@@ -341,14 +341,16 @@ func (s *Sched) finish() (*link.Executable, *RebuildStats, error) {
 	stats.Total = time.Since(t0)
 	e.allDirty = false
 	e.Manager.clearDirtyThrough(s.dirtyEpoch)
-	// exe and History are published under the engine lock so a concurrent
-	// introspection Snapshot never observes a torn update.
+	// exe and the rebuild count and stats are published under the engine
+	// lock so a concurrent introspection Snapshot never observes a torn
+	// update.
 	e.mu.Lock()
 	e.exe = exe
 	// A committed rebuild after InvalidateCache recompiled everything for
 	// real; the persistent tier may serve warm loads again.
 	e.persistBypass = false
-	e.History = append(e.History, *stats)
+	e.rebuilds++
+	e.lastRebuild = *stats
 	e.mu.Unlock()
 	e.recordRebuild(root, stats)
 	root.End()

@@ -267,7 +267,7 @@ func (e *Engine) Snapshot() EngineSnapshot {
 		ActiveProbes:  e.Manager.NumActive(),
 		CachedObjects: len(e.cache),
 		NeverBuilt:    len(e.neverBuilt),
-		Rebuilds:      len(e.History),
+		Rebuilds:      e.rebuilds,
 	}
 	for id := range e.deferredFrags {
 		s.Deferred = append(s.Deferred, id)
@@ -282,8 +282,8 @@ func (e *Engine) Snapshot() EngineSnapshot {
 		}
 		s.Quarantined[id] = sortedKeys(q)
 	}
-	if n := len(e.History); n > 0 {
-		last := e.History[n-1]
+	if e.rebuilds > 0 {
+		last := e.lastRebuild
 		s.LastRebuild = &last
 	}
 	if e.store != nil {

@@ -121,6 +121,47 @@ fi
 rm -rf "$pdir"
 echo "crash-restart smoke: ok ($warm fragments warm, image $img unchanged)"
 
+echo "== interrupt smoke (SIGINT flushes the cache and snapshot) =="
+# The signal path end to end: an engine run holding its telemetry endpoint
+# open is interrupted after its build; the handler must flush the artifact
+# store and rewrite the state snapshot (which only Close writes) before
+# exiting 130, so a rerun restores the snapshot and serves every fragment
+# warm.
+idir="$(mktemp -d)"
+go build -o "$idir/odin-run" ./cmd/odin-run
+int_log="$idir/run1.log"
+"$idir/odin-run" -odin -program json -input smoke \
+	-cache-dir "$idir/cache" -snapshot "$idir/state.snap" \
+	-metrics-addr 127.0.0.1:0 -metrics-hold 30s >/dev/null 2>"$int_log" &
+int_pid=$!
+# Wait for the endpoint and for the build's persist line: the run is then
+# in its hold, past every store write.
+for _ in $(seq 1 300); do
+	grep -q '^telemetry: serving on ' "$int_log" && grep -q '^; persist: ' "$int_log" && break
+	sleep 0.1
+done
+kill -INT "$int_pid" 2>/dev/null || true
+int_status=0
+wait "$int_pid" || int_status=$?
+if [ "$int_status" -ne 130 ] || ! grep -q 'flushing persistence' "$int_log"; then
+	echo "interrupt smoke: want exit 130 and a persistence flush, got exit $int_status:"
+	cat "$int_log"
+	exit 1
+fi
+int_log2="$idir/run2.log"
+"$idir/odin-run" -odin -program json -input smoke \
+	-cache-dir "$idir/cache" -snapshot "$idir/state.snap" >/dev/null 2>"$int_log2"
+int_persist="$(sed -n 's/^; persist: //p' "$int_log2")"
+int_warm="$(echo "$int_persist" | sed -n 's/^\([0-9]*\)\/\([0-9]*\) fragments warm.*/\1 \2/p')"
+set -- $int_warm
+if [ $# -ne 2 ] || [ "$1" -eq 0 ] || [ "$1" -ne "$2" ] || ! echo "$int_persist" | grep -q 'snapshot restored true'; then
+	echo "interrupt smoke: rerun after SIGINT not fully warm with the snapshot restored:"
+	cat "$int_log2"
+	exit 1
+fi
+rm -rf "$idir"
+echo "interrupt smoke: ok ($1/$2 fragments warm, snapshot restored true)"
+
 echo "== serve control-plane smoke (2 shards, kill -9, warm restart) =="
 # The probe-control plane end to end, at process granularity: boot a
 # two-shard odin-serve daemon with a persist root, drive probe traffic into
@@ -277,9 +318,10 @@ echo "== bench regression gate (probe-toggle + verify-overhead + cold-warm + ser
 # control plane dropping healthy tenants' work / letting a hostile tenant
 # push healthy p99 past bench.ServeIsolationFactor, or on a shard failover
 # (restart or promotion under an injected wedge) dropping a healthy commit
-# or overrunning bench.ChaosFailoverBudgetMS. All experiments run in one
-# invocation so the artifact carries all of them (a missing experiment
-# counts as a regression). Regenerate with `make bench-record` when a
+# or overrunning bench.ChaosFailoverBudgetMS. The absolute gates are the
+# experiments' own verdicts; the drift gates compare the artifact's metric
+# records. All experiments run in one invocation so the artifact carries
+# all of them (a record missing from the run counts as a regression). Regenerate with `make bench-record` when a
 # deliberate change moves the trajectory. Skipped when no artifact is
 # committed.
 bench_artifact="$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1 || true)"
