@@ -13,11 +13,8 @@
 // Usage:
 //
 //	odin-fuzz [-program demo | -ir file.ir] [-iters 5000] [-seed 1] [-prune]
-//	          [-storm N] [-workers N] [-rebuild-timeout D] [-verify off|boundaries|all]
-//	          [-metrics-addr HOST:PORT] [-cache-dir DIR] [-snapshot FILE]
-//
-// The engine flags (-workers through -snapshot) are shared with odin-run
-// (package engineflag).
+//	          [-rebuild-timeout D] [-metrics-addr HOST:PORT] [-storm N]
+//	          [-verify off|boundaries|all]
 //
 // With -storm N the harness fires N concurrent probe toggles through the
 // rebuild supervisor before the campaign — a stress pass proving the
@@ -86,14 +83,10 @@ func main() {
 	seed := flag.Uint64("seed", 1, "campaign RNG seed")
 	prune := flag.Bool("prune", true, "prune covered probes via on-the-fly recompilation")
 	storm := flag.Int("storm", 0, "fire this many concurrent probe toggles through the rebuild supervisor before the campaign (0 = off)")
-	engine := engineflag.Register(flag.CommandLine)
+	var opts core.Options
+	engineflag.Register(flag.CommandLine, &opts)
 	flag.Parse()
 
-	opts, err := engine.Options()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "odin-fuzz: %v\n", err)
-		os.Exit(2)
-	}
 	if err := run(*program, *irFile, *iters, *seed, *prune, *storm, opts); err != nil {
 		fmt.Fprintf(os.Stderr, "odin-fuzz: %v\n", err)
 		os.Exit(1)

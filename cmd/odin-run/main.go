@@ -16,8 +16,8 @@
 //	odin-run -odin -cache-dir DIR -snapshot FILE -program sqlite
 //	                                              # warm-start across runs
 //
-// The engine flags (-workers, -rebuild-timeout, -verify, -metrics-addr,
-// -cache-dir, -snapshot) are shared with odin-fuzz (package engineflag) and
+// The engine flags (-workers, and -rebuild-timeout, -verify, -metrics-addr,
+// -cache-dir, -snapshot shared with odin-fuzz through package engineflag)
 // apply with -odin. SIGINT or SIGTERM flushes the artifact cache and the
 // snapshot before exiting 130 or 143.
 package main
@@ -51,14 +51,11 @@ func main() {
 	odin := flag.Bool("odin", false, "build through the Odin fragment engine instead of the whole-module toolchain")
 	supervise := flag.Bool("supervise", false, "with -odin: run the build through the concurrent rebuild supervisor")
 	metricsHold := flag.Duration("metrics-hold", 0, "with -metrics-addr: keep serving this long after the run finishes")
-	engine := engineflag.Register(flag.CommandLine) // the -odin engine's flags
+	var opts core.Options // the -odin engine's flags
+	flag.IntVar(&opts.Workers, "workers", 0, "fragment compile workers for -odin (0 = GOMAXPROCS)")
+	engineflag.Register(flag.CommandLine, &opts)
 	flag.Parse()
 
-	opts, err := engine.Options()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "odin-run: %v\n", err)
-		os.Exit(2)
-	}
 	if err := run(*level, *useInterp, *input, *fn, *dump, *odin, *supervise, opts, *metricsHold, *program, flag.Args()); err != nil {
 		fmt.Fprintf(os.Stderr, "odin-run: %v\n", err)
 		os.Exit(1)

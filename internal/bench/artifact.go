@@ -245,6 +245,13 @@ func LoadArtifact(path string) (*Artifact, error) {
 		if _, ok := gateKinds[m.Gate]; !ok {
 			return nil, fmt.Errorf("bench: baseline artifact %s: %s has unknown gate %q", path, m.Name, m.Gate)
 		}
+		// The recorded warm-start speedup must clear its floor outright:
+		// the baseline has to prove it on a quiet machine.
+		if m.Name == "cold-warm/speedup_x" {
+			if err := warmSpeedupVerdict(m.Value, 0); err != nil {
+				return nil, fmt.Errorf("bench: baseline artifact %s: %s: recorded %v; re-record on a quiet machine or fix the regression", path, m.Name, err)
+			}
+		}
 	}
 	return a, nil
 }
@@ -253,8 +260,7 @@ func LoadArtifact(path string) (*Artifact, error) {
 // returns human-readable regression descriptions (empty = pass). Every
 // reference record is judged by its gate kind; a record missing from cur is
 // a regression (the trajectory must not silently lose coverage), and
-// records new in cur pass. The recorded warm-start speedup must also clear
-// its floor outright: the artifact has to prove it on a quiet machine.
+// records new in cur pass.
 func CompareArtifacts(ref, cur *Artifact) []string {
 	got := map[string]float64{}
 	for _, m := range cur.Metrics {
@@ -262,11 +268,6 @@ func CompareArtifacts(ref, cur *Artifact) []string {
 	}
 	var bad []string
 	for _, r := range ref.Metrics {
-		if r.Name == "cold-warm/speedup_x" {
-			if err := warmSpeedupVerdict(r.Value, 0); err != nil {
-				bad = append(bad, fmt.Sprintf("%s: recorded %v; re-record on a quiet machine or fix the regression", r.Name, err))
-			}
-		}
 		c, ok := got[r.Name]
 		if !ok {
 			bad = append(bad, fmt.Sprintf("%s: missing from current run", r.Name))

@@ -9,47 +9,25 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"odin/internal/core"
 )
 
-// Flags holds the parsed values of the shared engine flags.
-type Flags struct {
-	workers        int
-	rebuildTimeout time.Duration
-	verify         string
-	metricsAddr    string
-	cacheDir       string
-	snapshot       string
-}
-
-// Register defines the shared engine flags on fs.
-func Register(fs *flag.FlagSet) *Flags {
-	f := &Flags{}
-	fs.IntVar(&f.workers, "workers", 0, "fragment compile workers (0 = GOMAXPROCS)")
-	fs.DurationVar(&f.rebuildTimeout, "rebuild-timeout", 0, "deadline for one rebuild (0 = none)")
-	fs.StringVar(&f.verify, "verify", "", "engine IR-verification tier: off, boundaries (default), or all (strict check after every optimizer pass)")
-	fs.StringVar(&f.metricsAddr, "metrics-addr", "", "serve live telemetry (metrics, /debug/odin, traces, pprof) on this host:port (port 0 = pick a free port)")
-	fs.StringVar(&f.cacheDir, "cache-dir", "", "persistent artifact cache directory (warm-starts fragment compiles across runs)")
-	fs.StringVar(&f.snapshot, "snapshot", "", "engine state snapshot file (restored at startup, rewritten at exit)")
-	return f
-}
-
-// Options returns the engine options the flags select.
-func (f *Flags) Options() (core.Options, error) {
-	v, ok := core.ParseVerifyMode(f.verify)
-	if !ok {
-		return core.Options{}, fmt.Errorf("-verify %q: want off, boundaries, or all", f.verify)
-	}
-	return core.Options{
-		Workers:        f.workers,
-		RebuildTimeout: f.rebuildTimeout,
-		Verify:         v,
-		MetricsAddr:    f.metricsAddr,
-		CacheDir:       f.cacheDir,
-		SnapshotPath:   f.snapshot,
-	}, nil
+// Register defines the shared engine flags on fs, each bound to its field
+// of opts. A -verify tier ParseVerifyMode rejects fails flag parsing.
+func Register(fs *flag.FlagSet, opts *core.Options) {
+	fs.DurationVar(&opts.RebuildTimeout, "rebuild-timeout", 0, "deadline for one rebuild (0 = none)")
+	fs.Func("verify", "engine IR-verification tier: off, boundaries (default), or all (strict check after every optimizer pass)", func(s string) error {
+		v, ok := core.ParseVerifyMode(s)
+		if !ok {
+			return fmt.Errorf("want off, boundaries, or all")
+		}
+		opts.Verify = v
+		return nil
+	})
+	fs.StringVar(&opts.MetricsAddr, "metrics-addr", "", "serve live telemetry (metrics, /debug/odin, traces, pprof) on this host:port (port 0 = pick a free port)")
+	fs.StringVar(&opts.CacheDir, "cache-dir", "", "persistent artifact cache directory (warm-starts fragment compiles across runs)")
+	fs.StringVar(&opts.SnapshotPath, "snapshot", "", "engine state snapshot file (restored at startup, rewritten at exit)")
 }
 
 // CloseOnSignal runs cleanup when the process receives SIGINT or SIGTERM —
